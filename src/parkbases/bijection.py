@@ -22,9 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .parking import ParkingDiagram, is_parking, to_diagram
-from .roots import Root
-
-Basis = tuple[Root, ...]
+from .roots import Basis, Root
 
 
 def initial_vector(basis: Sequence[Root]) -> tuple[int, ...]:
@@ -88,12 +86,12 @@ def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
     Entry k-1 belongs to label k.  The ray from P_k advances in unit diagonal
     steps; at each lattice point it stops on a corner P_l with l > k, passes
     through corners with l < k, and otherwise stops on the boundary path or the
-    x-axis.
+    x-axis.  The corners themselves sit on the boundary path; `verify` checks
+    this on every diagram of PF_n.
     """
     n = diagram.n
     corners = diagram.corners()
     boundary = diagram.boundary_points()
-    assert all(p in boundary for p in corners), "corners always sit on the boundary"
     stops = [0] * n
     for (x0, y0), k in corners.items():
         x, y = x0, y0

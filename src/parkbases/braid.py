@@ -18,10 +18,9 @@ import dataclasses
 from typing import Iterator, Literal, Sequence
 
 from .bijection import initial_vector, ray_stops, reconstruct
-from .parking import ParkingDiagram, from_diagram, parking_functions, to_diagram
-from .roots import Root, SignedRoot, seifert
+from .parking import ParkingDiagram, from_diagram, parking_functions, staircase_boundary, to_diagram
+from .roots import Basis, Root, seifert
 
-Basis = tuple[Root, ...]
 Direction = Literal["left", "right"]
 
 
@@ -37,10 +36,10 @@ def parse_word(text: str) -> tuple[int, ...]:
     return letters
 
 
-def _combine(a: Root, s: int, b: Root) -> SignedRoot:
-    """The signed root a - s*b, which is a root whenever the mutation rules apply."""
+def _combine(a: Root, s: int, b: Root) -> Root:
+    """The positive version of a - s*b, a signed root whenever the mutation rules apply."""
     if s == 0:
-        return SignedRoot(a, 1)
+        return a
     n = a.rank
     coeffs = [0] * (n + 2)
     for i in a.support():
@@ -50,11 +49,10 @@ def _combine(a: Root, s: int, b: Root) -> SignedRoot:
     signs = {c for c in coeffs[1 : n + 1] if c != 0}
     if signs not in ({1}, {-1}):
         raise RuntimeError(f"{a} - {s}*{b} is not a signed root")
-    sign = signs.pop()
     points = [i for i in range(1, n + 1) if coeffs[i] != 0]
     if points[-1] - points[0] + 1 != len(points):
         raise RuntimeError(f"{a} - {s}*{b} has disconnected support")
-    return SignedRoot(Root(points[0], points[-1], n), sign)
+    return Root(points[0], points[-1], n)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -74,9 +72,9 @@ def mutate(basis: Sequence[Root], k: int, direction: Direction) -> Basis:
     a, b = basis[k - 1], basis[k]
     s = seifert(a, b)
     if direction == "left":
-        pair = (b, _combine(a, s, b).normalized())
+        pair = (b, _combine(a, s, b))
     elif direction == "right":
-        pair = (_combine(b, s, a).normalized(), a)
+        pair = (_combine(b, s, a), a)
     else:
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     return basis[: k - 1] + pair + basis[k + 1 :]
@@ -95,7 +93,7 @@ def arc_mutation_target(a: Root, b: Root) -> Root:
     """
     if seifert(b, a) != 0:
         raise ValueError(f"seifert({b}, {a}) != 0")
-    return _combine(a, seifert(a, b), b).normalized()
+    return _combine(a, seifert(a, b), b)
 
 
 def generator_order(basis: Sequence[Root], k: int) -> int:
@@ -223,21 +221,6 @@ def young_of_diagram(diagram: ParkingDiagram) -> Young:
     return tuple(reversed(diagram.lengths))
 
 
-def _young_boundary(mu: Young, n: int) -> set[tuple[int, int]]:
-    points = {(0, -n)}
-    x = 0
-    for d in range(n, 0, -1):
-        y = -d
-        while x < mu[d - 1]:
-            x += 1
-            points.add((x, y))
-        points.add((x, y + 1))
-    while x < n:
-        x += 1
-        points.add((x, 0))
-    return points
-
-
 def flip_row(young: Sequence[int], k: int) -> Young:
     """Resize row k of a staircase Young diagram by a diagonal walk.
 
@@ -256,7 +239,7 @@ def flip_row(young: Sequence[int], k: int) -> Young:
         raise ValueError(f"row index {k} out of range 1..{n}")
     if k == n:
         return mu
-    boundary = _young_boundary(mu, n)
+    boundary = staircase_boundary(mu[::-1])
     step = -1 if mu[k - 1] > mu[k] else 1
     x, y = mu[k - 1], -k
     while True:

@@ -58,11 +58,15 @@ def _emit(args, obj) -> None:
         sys.stdout.write(text)
 
 
+def _is_int_list(value) -> bool:
+    """Whether a JSON value is a list of integers (JSON bools, 1.9 and 2.0 are not integers)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def _payload_pf(payload: dict) -> tuple[int, ...]:
-    try:
-        f = tuple(int(v) for v in payload["f"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError("E_PARSE", f"missing or malformed field 'f': {exc}") from exc
+    if not _is_int_list(payload.get("f")):
+        raise CliError("E_PARSE", "missing or malformed field 'f': expected a list of integers")
+    f = tuple(payload["f"])
     try:
         if not is_parking(f):
             raise CliError("E_INVALID_PF", f"{list(f)} violates the parking condition")
@@ -72,13 +76,13 @@ def _payload_pf(payload: dict) -> tuple[int, ...]:
 
 
 def _payload_basis(payload: dict) -> tuple[Root, ...]:
+    n, raw = payload.get("n"), payload.get("basis")
+    if type(n) is not int:
+        raise CliError("E_PARSE", "missing or malformed field 'n': expected an integer")
+    if not (isinstance(raw, list) and all(_is_int_list(p) and len(p) == 2 for p in raw)):
+        raise CliError("E_PARSE", "missing or malformed field 'basis': expected integer pairs")
     try:
-        n = int(payload["n"])
-        pairs = [(int(lo), int(hi)) for lo, hi in payload["basis"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError("E_PARSE", f"missing or malformed field 'basis': {exc}") from exc
-    try:
-        roots = tuple(Root(lo, hi, n) for lo, hi in pairs)
+        roots = tuple(Root(lo, hi, n) for lo, hi in raw)
         return validate_basis(roots, n)
     except BasisError as exc:
         raise CliError("E_INVALID_BASIS", f"{exc.code}: {exc}") from exc
@@ -209,10 +213,9 @@ def cmd_render(args) -> None:
     elif args.target == "table":
         obj = hom_ext_table(modules_of(_payload_basis(payload)))
     else:
-        try:
-            n = int(payload["n"])
-        except (KeyError, ValueError) as exc:
-            raise CliError("E_PARSE", "orbit rendering needs field 'n'") from exc
+        n = payload.get("n")
+        if type(n) is not int:
+            raise CliError("E_PARSE", "orbit rendering needs an integer field 'n'")
         if n < 2 or n > 6:
             raise CliError("E_LIMIT", "orbit rendering supports 2 <= n <= 6")
         obj = orbit_graph(n)

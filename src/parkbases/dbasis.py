@@ -15,6 +15,11 @@ families of pairwise non-crossing arcs satisfying:
       is labelled earlier;
   (4) the endpoint graph is acyclic (this follows from (1)-(3), but is still
       checked).
+
+Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
+partial-sum coordinates, so roots are independent exactly when their arcs form
+a forest.  `validate_basis` runs that test first and reports a cycle as
+"dependent", so code "arc4" is reachable only through `from_arcs`.
 """
 from __future__ import annotations
 
@@ -22,10 +27,7 @@ import dataclasses
 import itertools
 from typing import Iterator, Sequence
 
-from . import linalg
-from .roots import Root, seifert
-
-Basis = tuple[Root, ...]
+from .roots import Basis, Root, seifert
 
 
 class BasisError(ValueError):
@@ -34,6 +36,8 @@ class BasisError(ValueError):
     Codes, in the order they are checked: "length", "rank", "dependent",
     "seifert" (detail: the 1-based ordered pair (j, i) with j > i at fault),
     "arc1" / "arc2" / "arc3" / "arc4" / "crossing" (detail: the arc labels).
+    "dependent" and "arc4" are the same arc-forest test: `validate_basis`
+    reports a cycle as "dependent", so "arc4" comes only from `from_arcs`.
     """
 
     def __init__(self, code: str, message: str, detail: tuple = ()):
@@ -56,8 +60,8 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     for r in basis:
         if r.rank != rank:
             raise BasisError("rank", f"root {r} has rank {r.rank}, expected {rank}")
-    rows = [[1 if r.lo <= i <= r.hi else 0 for i in range(1, rank + 1)] for r in basis]
-    if linalg.rank(rows) != rank:
+    arcs = tuple((r.lo - 1, r.hi) for r in basis)
+    if _first_cycle(arcs) is not None:
         raise BasisError("dependent", "roots are linearly dependent")
     for j in range(1, rank):
         for i in range(j):
@@ -68,7 +72,7 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
                     f"seifert(a_{j + 1}, a_{i + 1}) = {value} != 0",
                     (j + 1, i + 1),
                 )
-    _check_arcs(tuple((r.lo - 1, r.hi) for r in basis))
+    _check_arcs(arcs)
     return basis
 
 
@@ -93,6 +97,24 @@ class ArcDiagram:
                 raise ValueError(f"arc ({left}, {right}) out of range for rank {self.rank}")
 
 
+def _first_cycle(arcs: tuple[tuple[int, int], ...]) -> int | None:
+    """The 0-based index of the first arc that closes a cycle, or None for a forest."""
+    parent = list(range(len(arcs) + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for idx, (left, right) in enumerate(arcs):
+        a, b = find(left), find(right)
+        if a == b:
+            return idx
+        parent[a] = b
+    return None
+
+
 def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
     """Raise BasisError on the first violated arc condition (labels are 1-based)."""
     n = len(arcs)
@@ -115,19 +137,9 @@ def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
                 raise BasisError(
                     "arc3", f"arc {i + 1} ends where arc {j + 1} begins", (i + 1, j + 1)
                 )
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx, (left, right) in enumerate(arcs):
-        a, b = find(left), find(right)
-        if a == b:
-            raise BasisError("arc4", f"arc {idx + 1} closes a cycle", (idx + 1,))
-        parent[a] = b
+    idx = _first_cycle(arcs)
+    if idx is not None:
+        raise BasisError("arc4", f"arc {idx + 1} closes a cycle", (idx + 1,))
 
 
 def to_arcs(basis: Sequence[Root]) -> ArcDiagram:

@@ -1,8 +1,8 @@
-"""Small exact linear algebra over the rationals, enough for rank computations.
+"""Small exact linear algebra over the rationals, kept as a test oracle.
 
-Everything here works on lists of rows of ints or Fractions.  Matrices are tiny
-(at most a few dozen rows), so plain fraction-free-ish Gaussian elimination is
-entirely adequate and keeps the package free of floating point.
+Only `quiver.hom_dim_oracle` and the tests use it, to re-derive by elimination
+what the library computes in closed form or on the arc forest.  Matrices are
+tiny, so Gaussian elimination over Fractions is adequate and exact.
 """
 from __future__ import annotations
 

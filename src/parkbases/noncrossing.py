@@ -17,7 +17,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .dbasis import to_arcs
-from .roots import Root
+from .roots import Basis, Root
 
 Block = tuple[int, ...]
 
@@ -29,28 +29,27 @@ class NCPartition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        ground = sorted(x for block in self.blocks for x in block)
-        if ground != list(range(len(ground))):
+        points = sorted((x, k) for k, block in enumerate(self.blocks) for x in block)
+        if [x for x, _ in points] != list(range(len(points))):
             raise ValueError("blocks must partition a range {0, ..., n}")
         for block in self.blocks:
             if list(block) != sorted(block):
                 raise ValueError(f"block {block} is not sorted")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be sorted by minimum")
-        for b1, b2 in itertools.combinations(self.blocks, 2):
-            if _cross(b1, b2):
-                raise ValueError(f"blocks {b1} and {b2} cross")
+        # Scan left to right keeping a stack of the blocks that have started but
+        # not finished; every later point of a block must continue the innermost.
+        open_blocks: list[int] = []
+        for x, k in points:
+            block = self.blocks[k]
+            if x != block[0] and (top := open_blocks.pop()) != k:
+                raise ValueError(f"blocks {self.blocks[top]} and {block} cross")
+            if x != block[-1]:
+                open_blocks.append(k)
 
     @property
     def n(self) -> int:
         return sum(len(block) for block in self.blocks) - 1
-
-
-def _cross(b1: Block, b2: Block) -> bool:
-    """Whether two disjoint sorted blocks interleave a < b < c < d."""
-    labelled = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
-    runs = sum(1 for i in range(1, len(labelled)) if labelled[i][1] != labelled[i - 1][1])
-    return runs >= 3
 
 
 def partition(blocks: Sequence[Sequence[int]]) -> NCPartition:
@@ -106,15 +105,14 @@ def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
 
 def merge_label(lower: NCPartition, upper: NCPartition) -> int:
     """The label of a merge: with min(B) < min(B'), the largest i in B below B'."""
-    b, b_prime = merge_of(lower, upper)
-    cutoff = min(b_prime)
-    label = max(i for i in b if i < cutoff)
+    return _label(*merge_of(lower, upper))
+
+
+def _label(b: Block, b_prime: Block) -> int:
     # "below B'" means below every element; blocks merge non-crossingly, so
-    # comparing against the minimum is the same thing.  Checked on every call.
-    assert label == max(
-        (i for i in b if all(i < x for x in b_prime)), default=None
-    ), "the two readings of the label rule diverged"
-    return label
+    # comparing against the minimum is the same thing.  `verify` checks the
+    # two readings against each other on every merge of every maximal chain.
+    return max(i for i in b if i < min(b_prime))
 
 
 def stanley_labels(chain: NCChain) -> tuple[int, ...]:
@@ -147,14 +145,13 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
     return NCChain(tuple(parts))
 
 
-def chain_to_basis(chain: NCChain) -> tuple[Root, ...]:
+def chain_to_basis(chain: NCChain) -> Basis:
     """The basis whose arc components realise the chain (inverse of partition_chain)."""
     n = chain.n
     roots = []
     for lower, upper in zip(chain.partitions, chain.partitions[1:]):
         b, b_prime = merge_of(lower, upper)
-        label = merge_label(lower, upper)
-        roots.append(Root(label + 1, max(b_prime), n))
+        roots.append(Root(_label(b, b_prime) + 1, max(b_prime), n))
     return tuple(roots)
 
 

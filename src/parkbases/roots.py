@@ -41,6 +41,9 @@ class Root:
         return f"e[{self.lo},{self.hi}]"
 
 
+Basis = tuple[Root, ...]
+
+
 def simple_roots(n: int) -> tuple[Root, ...]:
     """The simple roots e_1, ..., e_n of rank n."""
     return tuple(Root(i, i, n) for i in range(1, n + 1))
@@ -110,19 +113,3 @@ def support_relation(a: Root, b: Root) -> str:
     if a.hi < b.lo or b.hi < a.lo:
         return "disjoint"
     return "crossing"
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class SignedRoot:
-    """A root together with a sign, the transient result of a mutation step."""
-
-    root: Root
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    def normalized(self) -> Root:
-        """Drop the sign; stored bases always consist of positive roots."""
-        return self.root

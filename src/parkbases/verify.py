@@ -8,10 +8,12 @@ machine-readable pass/fail entries.
 counterexample payload.  The harness can also be run with `inject_fault=True`,
 which flips one Seifert sign on the library side of the first comparison and
 must make the run fail; this is a self-test that the harness actually checks
-something.
+something.  The flag lives in a context variable set for the duration of one
+`run_suite` call, so runs nest and run in parallel threads without mixing.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 from typing import Callable
 
@@ -38,12 +40,12 @@ def bilinear_seifert(a: roots.Root, b: roots.Root) -> int:
     return total
 
 
-_FAULTY = False
+_FAULTY: contextvars.ContextVar[bool] = contextvars.ContextVar("faulty", default=False)
 
 
 def _seifert(a: roots.Root, b: roots.Root) -> int:
     value = roots.seifert(a, b)
-    if _FAULTY and (a.lo, a.hi, b.lo, b.hi) == (1, 1, 2, 2):
+    if _FAULTY.get() and (a.lo, a.hi, b.lo, b.hi) == (1, 1, 2, 2):
         return -value
     return value
 
@@ -91,6 +93,10 @@ def check_round_trips(n: int) -> None:
 
 def check_geometric(n: int) -> None:
     for f in parking.parking_functions(n):
+        diagram = parking.to_diagram(f)
+        off_boundary = diagram.corners().keys() - diagram.boundary_points()
+        if off_boundary:
+            raise CheckFailure({"f": list(f), "corners_off_boundary": sorted(off_boundary)})
         if bijection.reconstruct_geometric(f) != bijection.reconstruct(f):
             raise CheckFailure({"f": list(f)})
 
@@ -221,7 +227,16 @@ def check_chain_counts(n: int) -> None:
     chains = list(noncrossing.maximal_chains(n))
     if len(chains) != dbasis.basis_count(n) or len(set(chains)) != len(chains):
         raise CheckFailure({"count": len(chains), "expected": dbasis.basis_count(n)})
-    shifted = {tuple(v + 1 for v in noncrossing.stanley_labels(c)) for c in chains}
+    shifted = set()
+    for chain in chains:
+        labels = noncrossing.stanley_labels(chain)
+        for step, (lower, upper) in enumerate(zip(chain.partitions, chain.partitions[1:])):
+            # The label rule read literally: the largest i in B below every element of B'.
+            b, b_prime = noncrossing.merge_of(lower, upper)
+            if labels[step] != max((i for i in b if all(i < x for x in b_prime)), default=None):
+                chain_blocks = [p.blocks for p in chain.partitions]
+                raise CheckFailure({"chain": chain_blocks, "step": step + 1})
+        shifted.add(tuple(v + 1 for v in labels))
     if shifted != set(parking.parking_functions(n)):
         raise CheckFailure({"labels": len(shifted)})
 
@@ -272,13 +287,12 @@ def run_suite(n: int, suite: str = "all", inject_fault: bool = False) -> dict:
 
     The report has "ok" (bool) and a "checks" list of {name, ok, [error]}.
     """
-    global _FAULTY
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
     checks = [item for name in names for item in SUITES[name]]
     results = []
-    _FAULTY = inject_fault
+    token = _FAULTY.set(inject_fault)
     try:
         for name, fn in checks:
             entry: dict = {"name": name}
@@ -293,7 +307,7 @@ def run_suite(n: int, suite: str = "all", inject_fault: bool = False) -> dict:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
             results.append(entry)
     finally:
-        _FAULTY = False
+        _FAULTY.reset(token)
     return {
         "n": n,
         "suite": suite,

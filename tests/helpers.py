@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and cached enumerations."""
+"""Shared test utilities: cached enumerations and small constructors."""
 from __future__ import annotations
 
 import functools
@@ -6,18 +6,6 @@ import functools
 from parkbases.dbasis import distinguished_bases
 from parkbases.parking import parking_functions
 from parkbases.roots import Root
-
-
-def bilinear_seifert(a: Root, b: Root) -> int:
-    """Independent Seifert oracle: expand over simple-root pairs and sum."""
-    total = 0
-    for i in a.support():
-        for j in b.support():
-            if i == j:
-                total += 1
-            elif j == i + 1:
-                total -= 1
-    return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -243,3 +243,37 @@ def test_file_io(tmp_path, monkeypatch, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(outfile.read_text(encoding="utf-8"))["basis"] == [[2, 3], [2, 2], [1, 3]]
+
+
+def _single_error(code, out, err, prefix):
+    return code == 1 and out == "" and err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_render_orbit_rejects_non_integer_n(monkeypatch, capsys):
+    argv = ["render", "--format", "json", "--target", "orbit"]
+    for payload in ('{"n":[1]}', '{"n":true}', '{"n":3.0}', "{}"):
+        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+        assert _single_error(code, out, err, "E_PARSE:"), payload
+
+
+def test_convert_rejects_bools_in_f(monkeypatch, capsys):
+    code, out, err = run_cli(["convert", "pf-to-basis"], '{"f":[true,true]}', monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+
+
+def test_convert_rejects_fractional_f(monkeypatch, capsys):
+    code, out, err = run_cli(["convert", "pf-to-basis"], '{"f":[1.9,1]}', monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+
+
+def test_convert_rejects_bool_n(monkeypatch, capsys):
+    payload = '{"n":true,"basis":[[1,1]]}'
+    code, out, err = run_cli(["convert", "basis-to-pf"], payload, monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+
+
+def test_convert_rejects_non_integer_basis_entries(monkeypatch, capsys):
+    for pairs in ("[[1,1],[2,2.0]]", "[[1,1],[2,true]]", "[[1,1],[1.9,2]]", "[[1,1],[2,2,2]]"):
+        payload = '{"n":2,"basis":%s}' % pairs
+        code, out, err = run_cli(["convert", "basis-to-pf"], payload, monkeypatch, capsys)
+        assert _single_error(code, out, err, "E_PARSE:"), pairs

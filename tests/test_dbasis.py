@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from parkbases import linalg
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.dbasis import (
     ArcDiagram,
@@ -15,6 +17,7 @@ from parkbases.dbasis import (
     to_arcs,
     validate_basis,
 )
+from parkbases.parking import is_parking
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
 from helpers import all_bases, all_pfs, basis_of_pairs
@@ -280,3 +283,49 @@ def test_nondecreasing_representative():
     assert list(values) == sorted(values)
     with pytest.raises(ValueError):
         nondecreasing_representative(basis_of_pairs([(1, 2), (2, 2)], 2))
+
+
+def _code(roots, n):
+    try:
+        validate_basis(roots, n)
+    except BasisError as err:
+        return err.code
+    return None
+
+
+def _rank_deficient(roots, n):
+    rows = [[1 if r.lo <= i <= r.hi else 0 for i in range(1, n + 1)] for r in roots]
+    return linalg.rank(rows) < n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_dependent_code_matches_rank_exhaustive(n):
+    # The arc-forest test decides independence; exact elimination is the reference.
+    for tup in itertools.product(positive_roots(n), repeat=n):
+        assert (_code(tup, n) == "dependent") == _rank_deficient(tup, n), tup
+
+
+def _random_parking(rng, n):
+    # Pollak: exactly one rotation mod n + 1 of a vector in [1..n+1]^n parks.
+    v = [rng.randint(1, n + 1) for _ in range(n)]
+    for s in range(n + 1):
+        f = tuple((x - 1 + s) % (n + 1) + 1 for x in v)
+        if max(f) <= n and is_parking(f):
+            return f
+    raise AssertionError("no rotation parks")
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_dependent_code_matches_rank_sampled(n):
+    rng = random.Random(n)
+    roots = list(positive_roots(n))
+    for _ in range(60):
+        basis = list(reconstruct(_random_parking(rng, n)))
+        assert _code(basis, n) is None
+        k = rng.randrange(n)
+        for tup in (
+            [rng.choice(roots) for _ in range(n)],  # uniform: mostly dependent
+            basis[:k] + [rng.choice(roots)] + basis[k + 1 :],  # one root replaced
+            rng.sample(basis, n),  # independent, reordered
+        ):
+            assert (_code(tup, n) == "dependent") == _rank_deficient(tup, n), tup

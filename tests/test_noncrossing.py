@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from parkbases.bijection import initial_vector
@@ -7,6 +9,7 @@ from parkbases.noncrossing import (
     chain_to_basis,
     maximal_chains,
     merge_label,
+    merge_of,
     partition,
     partition_chain,
     singletons,
@@ -57,7 +60,9 @@ def test_first_merge_of_long_root():
 def test_merge_label_readings_agree():
     lower = partition([[0], [1, 2], [3]])
     upper = partition([[0, 3], [1, 2]])
-    assert merge_label(lower, upper) == 0
+    b, b_prime = merge_of(lower, upper)
+    below_all = max(i for i in b if all(i < x for x in b_prime))
+    assert merge_label(lower, upper) == below_all == 0
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 16), (4, 125)])
@@ -105,3 +110,42 @@ def test_shifted_labels_are_parking_rank6():
     for f in parking_functions(6):
         labels = stanley_labels(partition_chain(reconstruct(f)))
         assert tuple(v + 1 for v in labels) == f
+
+
+def _set_partitions(size):
+    """Every set partition of {0, ..., size - 1}, blocks listed in reverse."""
+
+    def rec(x, blocks):
+        if x == size:
+            yield [list(reversed(b)) for b in reversed(blocks)]
+            return
+        for block in blocks:
+            block.append(x)
+            yield from rec(x + 1, blocks)
+            block.pop()
+        blocks.append([x])
+        yield from rec(x + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def _interleaves(blocks):
+    owner = {x: k for k, block in enumerate(blocks) for x in block}
+    return any(
+        owner[a] == owner[c] != owner[b] == owner[d]
+        for a, b, c, d in itertools.combinations(sorted(owner), 4)
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_partition_acceptance_matches_interleaving_oracle(n):
+    # Bell(n + 1) set partitions of {0..n}; partition() must accept exactly
+    # those with no a < b < c < d splitting as {a, c}, {b, d}.
+    for blocks in _set_partitions(n + 1):
+        try:
+            partition(blocks)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted != _interleaves(blocks), blocks

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkbases.roots import Root, cartan, positive_roots, seifert, simple_roots, support_relation
-
-from helpers import bilinear_seifert
+from parkbases.verify import bilinear_seifert
 
 
 def e(lo, hi=None, n=4):

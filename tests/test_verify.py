@@ -1,0 +1,64 @@
+import threading
+
+import pytest
+
+from parkbases import noncrossing, parking, verify
+
+
+def test_nested_run_keeps_the_outer_fault(monkeypatch):
+    def nested(n):
+        inner = verify.run_suite(2, "noncrossing")
+        assert inner["ok"] and not inner["fault_injected"]
+
+    checks = [("nested_noncrossing", nested), *verify.SUITES["bijection"]]
+    monkeypatch.setitem(verify.SUITES, "bijection", checks)
+    report = verify.run_suite(3, "bijection", inject_fault=True)
+    assert report["checks"][0] == {"name": "nested_noncrossing", "ok": True}
+    assert report["ok"] is False
+    failing = [check["name"] for check in report["checks"] if not check["ok"]]
+    assert failing == ["seifert_bilinear"]
+    assert verify.run_suite(3, "bijection")["ok"] is True  # the flag is clear again
+
+
+def test_fault_flag_does_not_leak_across_threads(monkeypatch):
+    # Both runs have set their flag before either reaches its first real check.
+    barrier = threading.Barrier(2, timeout=30)
+    checks = [("meet", lambda n: barrier.wait()), *verify.SUITES["bijection"]]
+    monkeypatch.setitem(verify.SUITES, "bijection", checks)
+    reports = {}
+
+    def run(fault):
+        reports[fault] = verify.run_suite(3, "bijection", inject_fault=fault)
+
+    threads = [threading.Thread(target=run, args=(fault,)) for fault in (True, False)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert reports[True]["ok"] is False and reports[False]["ok"] is True
+
+
+def test_chain_counts_reads_each_label_twice(monkeypatch):
+    # The label rule compared against its minimum is re-read literally.
+    monkeypatch.setattr(noncrossing, "_label", lambda b, b_prime: b[0])
+    report = verify.run_suite(3, "noncrossing")
+    entry = next(c for c in report["checks"] if c["name"] == "chain_counts")
+    assert entry["ok"] is False and "step" in entry["counterexample"]
+
+
+def test_geometric_checks_corners_on_boundary(monkeypatch):
+    monkeypatch.setattr(parking.ParkingDiagram, "boundary_points", lambda self: set())
+    report = verify.run_suite(2, "bijection")
+    entry = next(c for c in report["checks"] if c["name"] == "geometric_equals_algebraic")
+    assert entry["ok"] is False and entry["counterexample"]["corners_off_boundary"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_label_readings_agree_on_every_merge(n):
+    verify.check_chain_counts(n)  # every merge of all (n+1)^(n-1) maximal chains
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_corners_sit_on_the_boundary(n):
+    verify.check_geometric(n)  # every diagram of PF_n
