@@ -67,6 +67,8 @@ def _payload_pf(payload: dict) -> tuple[int, ...]:
     if not _is_int_list(payload.get("f")):
         raise CliError("E_PARSE", "missing or malformed field 'f': expected a list of integers")
     f = tuple(payload["f"])
+    if not f:
+        raise CliError("E_PARSE", "n must be >= 1")
     try:
         if not is_parking(f):
             raise CliError("E_INVALID_PF", f"{list(f)} violates the parking condition")
@@ -79,6 +81,8 @@ def _payload_basis(payload: dict) -> tuple[Root, ...]:
     n, raw = payload.get("n"), payload.get("basis")
     if type(n) is not int:
         raise CliError("E_PARSE", "missing or malformed field 'n': expected an integer")
+    if n < 1:
+        raise CliError("E_PARSE", "n must be >= 1")
     if not (isinstance(raw, list) and all(_is_int_list(p) and len(p) == 2 for p in raw)):
         raise CliError("E_PARSE", "missing or malformed field 'basis': expected integer pairs")
     try:
@@ -91,11 +95,13 @@ def _payload_basis(payload: dict) -> tuple[Root, ...]:
 
 
 def _payload_chain(payload: dict) -> noncrossing.NCChain:
+    raw = payload.get("chain")
+    nested = isinstance(raw, list) and all(isinstance(p, list) for p in raw)
+    if not (nested and all(_is_int_list(block) for p in raw for block in p)):
+        raise CliError("E_INVALID_CHAIN", "malformed chain: expected lists of integer blocks")
     try:
-        raw = payload["chain"]
-        parts = tuple(noncrossing.partition(blocks) for blocks in raw)
-        return noncrossing.NCChain(parts)
-    except (KeyError, TypeError, ValueError) as exc:
+        return noncrossing.NCChain(tuple(noncrossing.partition(blocks) for blocks in raw))
+    except ValueError as exc:  # includes an empty block
         raise CliError("E_INVALID_CHAIN", f"malformed chain: {exc}") from exc
 
 
@@ -251,6 +257,8 @@ _VERIFY_LIMITS = {"all": 5, "bijection": 7, "braid": 6, "quiver": 8, "noncrossin
 
 
 def cmd_verify(args) -> None:
+    if args.n < 1:
+        raise CliError("E_PARSE", "n must be >= 1")
     limit = args.limit if args.limit is not None else _VERIFY_LIMITS[args.suite]
     if args.n > limit:
         raise CliError(

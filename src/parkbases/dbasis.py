@@ -18,8 +18,8 @@ families of pairwise non-crossing arcs satisfying:
 
 Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
 partial-sum coordinates, so roots are independent exactly when their arcs form
-a forest.  `validate_basis` runs that test first and reports a cycle as
-"dependent", so code "arc4" is reachable only through `from_arcs`.
+a forest.  `validate_basis` checks length, rank, "dependent" (this test) and
+"seifert"; arc codes come only from `from_arcs`.
 """
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ from .roots import Basis, Root, seifert
 class BasisError(ValueError):
     """A basis-validation failure, with a machine-readable code and detail.
 
-    Codes, in the order they are checked: "length", "rank", "dependent",
-    "seifert" (detail: the 1-based ordered pair (j, i) with j > i at fault),
-    "arc1" / "arc2" / "arc3" / "arc4" / "crossing" (detail: the arc labels).
-    "dependent" and "arc4" are the same arc-forest test: `validate_basis`
-    reports a cycle as "dependent", so "arc4" comes only from `from_arcs`.
+    `validate_basis` checks, in order: "length", "rank", "dependent",
+    "seifert" (detail: the 1-based ordered pair (j, i) with j > i at fault).
+    `from_arcs` checks "length", then the arc rules "crossing" / "arc1" /
+    "arc2" / "arc3" / "arc4" (detail: the arc labels); arc codes come only
+    from `from_arcs`.  "dependent" and "arc4" are the same arc-forest test.
     """
 
     def __init__(self, code: str, message: str, detail: tuple = ()):
@@ -50,7 +50,8 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     """Check that the ordered roots form a valid basis and return them as a tuple.
 
     Violations raise BasisError, reporting the first failed condition in the
-    fixed order: length, rank, linear independence, Seifert pair, arc rules.
+    fixed order: length, rank, dependent, seifert.  The arc rules hold on exactly
+    these bases (`verify` checks it), so they are not read again here.
     """
     basis = tuple(roots)
     if rank is None:
@@ -60,8 +61,7 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     for r in basis:
         if r.rank != rank:
             raise BasisError("rank", f"root {r} has rank {r.rank}, expected {rank}")
-    arcs = tuple((r.lo - 1, r.hi) for r in basis)
-    if _first_cycle(arcs) is not None:
+    if _first_cycle(tuple((r.lo - 1, r.hi) for r in basis)) is not None:
         raise BasisError("dependent", "roots are linearly dependent")
     for j in range(1, rank):
         for i in range(j):
@@ -72,7 +72,6 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
                     f"seifert(a_{j + 1}, a_{i + 1}) = {value} != 0",
                     (j + 1, i + 1),
                 )
-    _check_arcs(arcs)
     return basis
 
 

@@ -6,7 +6,8 @@ block and b, d in a different block.  Partitions are canonicalised as tuples of
 blocks sorted by minimum, each block a sorted tuple.
 
 A maximal chain refines from the all-singletons partition to the one-block
-partition in n steps, each merging exactly two blocks.  Chains correspond to
+partition in n steps, each merging exactly two blocks; `NCChain.merges` records
+step k as the merged pair (B, B') with min B < min B'.  Chains correspond to
 bases (`partition_chain` / `chain_to_basis`) and, via the merge labels
 (`stanley_labels`), to parking functions shifted down by one.
 """
@@ -29,6 +30,8 @@ class NCPartition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        if not all(self.blocks):
+            raise ValueError("blocks must be non-empty")
         points = sorted((x, k) for k, block in enumerate(self.blocks) for x in block)
         if [x for x, _ in points] != list(range(len(points))):
             raise ValueError("blocks must partition a range {0, ..., n}")
@@ -54,8 +57,8 @@ class NCPartition:
 
 def partition(blocks: Sequence[Sequence[int]]) -> NCPartition:
     """Canonicalise and validate a partition given as any iterable of blocks."""
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    return NCPartition(canon)
+    # Disjoint blocks sort by minimum; an empty one sorts first and NCPartition rejects it.
+    return NCPartition(tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
 
 def singletons(n: int) -> NCPartition:
@@ -64,9 +67,15 @@ def singletons(n: int) -> NCPartition:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class NCChain:
-    """A maximal chain of non-crossing partitions of {0, ..., n}."""
+    """A maximal chain of non-crossing partitions of {0, ..., n}.
+
+    `merges[k]` is the pair (B, B') of blocks joined at step k, with min B < min B'.
+    """
 
     partitions: tuple[NCPartition, ...]
+    merges: tuple[tuple[Block, Block], ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.partitions:
@@ -78,8 +87,8 @@ class NCChain:
             raise ValueError("chains must start at the all-singletons partition")
         if len(self.partitions[-1].blocks) != 1:
             raise ValueError("chains must end at the one-block partition")
-        for lower, upper in zip(self.partitions, self.partitions[1:]):
-            merge_of(lower, upper)  # raises unless exactly two blocks merge
+        steps = zip(self.partitions, self.partitions[1:])  # merge_of raises unless a single merge
+        object.__setattr__(self, "merges", tuple(merge_of(lower, upper) for lower, upper in steps))
 
     @property
     def n(self) -> int:
@@ -103,12 +112,8 @@ def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
     return gone[0], gone[1]
 
 
-def merge_label(lower: NCPartition, upper: NCPartition) -> int:
-    """The label of a merge: with min(B) < min(B'), the largest i in B below B'."""
-    return _label(*merge_of(lower, upper))
-
-
 def _label(b: Block, b_prime: Block) -> int:
+    """The label of a merge: with min(B) < min(B'), the largest i in B below B'."""
     # "below B'" means below every element; blocks merge non-crossingly, so
     # comparing against the minimum is the same thing.  `verify` checks the
     # two readings against each other on every merge of every maximal chain.
@@ -121,38 +126,29 @@ def stanley_labels(chain: NCChain) -> tuple[int, ...]:
     Adding 1 to every entry gives a parking function, and the map is a
     bijection onto parking functions.
     """
-    return tuple(
-        merge_label(lower, upper)
-        for lower, upper in zip(chain.partitions, chain.partitions[1:])
-    )
+    return tuple(_label(b, b_prime) for b, b_prime in chain.merges)
 
 
 def partition_chain(basis: Sequence[Root]) -> NCChain:
     """The chain of connected-component partitions of the first k arcs of a basis."""
     arcs = to_arcs(basis)
-    n = arcs.rank
-    parts = [singletons(n)]
-    components: list[set[int]] = [{i} for i in range(n + 1)]
+    parts = [singletons(arcs.rank)]
     for left, right in arcs.arcs:
-        comp_left = next(c for c in components if left in c)
-        comp_right = next(c for c in components if right in c)
-        if comp_left is comp_right:
+        blocks = parts[-1].blocks
+        b, b_prime = sorted(next(blk for blk in blocks if x in blk) for x in (left, right))
+        if b is b_prime:
             raise ValueError("arcs of a basis never close a cycle")
-        components.remove(comp_left)
-        components.remove(comp_right)
-        components.append(comp_left | comp_right)
-        parts.append(partition(components))
+        # The joined block keeps B's place in the order by minimum.
+        merged = tuple(sorted(b + b_prime))
+        blocks = tuple(merged if blk is b else blk for blk in blocks if blk is not b_prime)
+        parts.append(NCPartition(blocks))
     return NCChain(tuple(parts))
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
     """The basis whose arc components realise the chain (inverse of partition_chain)."""
     n = chain.n
-    roots = []
-    for lower, upper in zip(chain.partitions, chain.partitions[1:]):
-        b, b_prime = merge_of(lower, upper)
-        roots.append(Root(_label(b, b_prime) + 1, max(b_prime), n))
-    return tuple(roots)
+    return tuple(Root(_label(b, b_prime) + 1, max(b_prime), n) for b, b_prime in chain.merges)
 
 
 def maximal_chains(n: int) -> Iterator[NCChain]:

@@ -187,15 +187,30 @@ def check_ext_formula(n: int) -> None:
                     raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
 
 
+def _arc_rules_hold(tup: tuple[roots.Root, ...]) -> bool:
+    try:
+        dbasis.from_arcs(dbasis.to_arcs(tup))
+        return True
+    except dbasis.BasisError:
+        return False
+
+
 def check_exceptional_matches_validate(n: int) -> None:
+    # Exceptional sequences, triangular Seifert bases (`validate_basis`) and the
+    # arc rules (1)-(4) of `from_arcs` select the same ordered tuples.
     size = min(n, 4)  # exhaustive tuple space; larger ranks are covered via bases
     all_roots = list(roots.positive_roots(size))
     for tup in itertools.product(all_roots, repeat=size):
-        if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != dbasis.is_basis(tup, size):
+        valid = dbasis.is_basis(tup, size)
+        if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != valid:
             raise CheckFailure({"roots": [r.as_pair() for r in tup]})
+        if _arc_rules_hold(tup) != valid:
+            raise CheckFailure({"roots": [r.as_pair() for r in tup], "arc_rules": not valid})
     for basis in dbasis.distinguished_bases(n):
         if not quiver.is_exceptional_sequence(quiver.modules_of(basis)):
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
+        if not _arc_rules_hold(basis):
+            raise CheckFailure({"basis": [r.as_pair() for r in basis], "arc_rules": False})
 
 
 def check_hom_ext_table(n: int) -> None:

@@ -277,3 +277,31 @@ def test_convert_rejects_non_integer_basis_entries(monkeypatch, capsys):
         payload = '{"n":2,"basis":%s}' % pairs
         code, out, err = run_cli(["convert", "basis-to-pf"], payload, monkeypatch, capsys)
         assert _single_error(code, out, err, "E_PARSE:"), pairs
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"chain":[[[0],[]]]}',  # an empty block
+        '{"chain":[[[false],[true]],[[false,true]]]}',  # JSON bools
+        '{"chain":[[[0.0],[1.0]],[[0.0,1.0]]]}',  # JSON floats
+    ],
+)
+def test_nc_from_chain_rejects_malformed_blocks(payload, monkeypatch, capsys):
+    code, out, err = run_cli(["nc", "from-chain"], payload, monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_INVALID_CHAIN:")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_rejects_n_below_one(n, monkeypatch, capsys):
+    code, out, err = run_cli(["verify", n], "", monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE: n must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "direction,payload",
+    [("pf-to-basis", '{"f":[]}'), ("basis-to-pf", '{"n":0,"basis":[]}')],
+)
+def test_convert_rejects_n_zero(direction, payload, monkeypatch, capsys):
+    code, out, err = run_cli(["convert", direction], payload, monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE: n must be >= 1")

@@ -6,9 +6,9 @@ from parkbases.bijection import initial_vector
 from parkbases.noncrossing import (
     NCChain,
     NCPartition,
+    _label,
     chain_to_basis,
     maximal_chains,
-    merge_label,
     merge_of,
     partition,
     partition_chain,
@@ -16,7 +16,7 @@ from parkbases.noncrossing import (
     stanley_labels,
 )
 from parkbases.parking import is_parking, parking_functions
-from parkbases.roots import Root
+from parkbases.roots import Root, positive_roots
 
 from helpers import all_bases, basis_of_pairs
 
@@ -28,6 +28,10 @@ def test_partition_canonicalisation_and_validation():
         partition([[0, 2], [1, 3]])  # crossing
     with pytest.raises(ValueError):
         partition([[0], [2]])  # not a range
+    with pytest.raises(ValueError):
+        partition([[0], []])  # an empty block
+    with pytest.raises(ValueError):
+        NCPartition(((0,), ()))
     assert partition([[0, 1, 3], [2]]).n == 3  # nested is fine
 
 
@@ -62,7 +66,14 @@ def test_merge_label_readings_agree():
     upper = partition([[0, 3], [1, 2]])
     b, b_prime = merge_of(lower, upper)
     below_all = max(i for i in b if all(i < x for x in b_prime))
-    assert merge_label(lower, upper) == below_all == 0
+    assert _label(*merge_of(lower, upper)) == below_all == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chain_merges_are_the_merge_of_each_step(n):
+    for chain in maximal_chains(n):
+        steps = zip(chain.partitions, chain.partitions[1:])
+        assert chain.merges == tuple(merge_of(lower, upper) for lower, upper in steps)
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 16), (4, 125)])
@@ -97,6 +108,51 @@ def test_chain_partitions_are_noncrossing(n):
     for chain in maximal_chains(n):
         for part in chain.partitions:
             NCPartition(part.blocks)  # re-validates the non-crossing property
+
+
+def _component_history(arcs, n):
+    """Blocks of the components of the first k arcs, k = 0..len(arcs), by union-find.
+
+    Raises ValueError when an arc closes a cycle or two components interleave.
+    """
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    history = []
+    for k in range(len(arcs) + 1):
+        if k:
+            left, right = find(arcs[k - 1][0]), find(arcs[k - 1][1])
+            if left == right:
+                raise ValueError("cycle")
+            parent[left] = right
+        groups = {}
+        for x in range(n + 1):
+            groups.setdefault(find(x), []).append(x)
+        blocks = sorted(groups.values())
+        if _interleaves(blocks):
+            raise ValueError("crossing")
+        history.append([tuple(b) for b in blocks])
+    return history
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_partition_chain_matches_component_oracle(n):
+    # Every n-tuple of positive roots, valid basis or not.
+    for tup in itertools.product(list(positive_roots(n)), repeat=n):
+        arcs = [(r.lo - 1, r.hi) for r in tup]
+        try:
+            expected = _component_history(arcs, n)
+        except ValueError:
+            expected = None
+        try:
+            got = [list(p.blocks) for p in partition_chain(tup).partitions]
+        except ValueError:
+            got = None
+        assert got == expected, tup
 
 
 def test_chain_round_trip_from_enumeration():

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from parkbases import noncrossing, parking, verify
+from parkbases import dbasis, noncrossing, parking, verify
 
 
 def test_nested_run_keeps_the_outer_fault(monkeypatch):
@@ -47,6 +47,14 @@ def test_chain_counts_reads_each_label_twice(monkeypatch):
     assert entry["ok"] is False and "step" in entry["counterexample"]
 
 
+def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
+    # validate_basis never reads the arc rules, so only this check sees them break.
+    monkeypatch.setattr(dbasis, "_check_arcs", lambda arcs: None)
+    report = verify.run_suite(3, "quiver")
+    entry = next(c for c in report["checks"] if c["name"] == "exceptional_equals_validate")
+    assert entry["ok"] is False and "arc_rules" in entry["counterexample"]
+
+
 def test_geometric_checks_corners_on_boundary(monkeypatch):
     monkeypatch.setattr(parking.ParkingDiagram, "boundary_points", lambda self: set())
     report = verify.run_suite(2, "bijection")
@@ -62,3 +70,8 @@ def test_label_readings_agree_on_every_merge(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_corners_sit_on_the_boundary(n):
     verify.check_geometric(n)  # every diagram of PF_n
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_arc_rules_select_the_bases(n):
+    verify.check_exceptional_matches_validate(n)  # every root tuple of rank min(n, 4)
