@@ -30,15 +30,21 @@ def initial_vector(basis: Sequence[Root]) -> tuple[int, ...]:
     return tuple(r.lo for r in basis)
 
 
-def _reconstruct_pairs(f: Sequence[int]) -> list[tuple[int, int]]:
-    """Core of `reconstruct`, on plain (lo, hi) pairs.
+def reconstruct(f: Sequence[int]) -> Basis:
+    """The unique basis whose initial vector is the parking function f.
 
     Coverage sets are kept as bitmasks over support points 1..n; bit i is set
     when some already-built root covers i.
+
+    >>> [str(r) for r in reconstruct((2, 2, 1))]
+    ['e[2,3]', 'e[2,2]', 'e[1,3]']
     """
+    f = tuple(f)
+    if not is_parking(f):
+        raise ValueError(f"{f} is not a parking function")
     n = len(f)
     order = sorted(range(n), key=lambda k: (-f[k], -k))
-    pairs: list[tuple[int, int] | None] = [None] * n
+    roots: list[Root | None] = [None] * n
     masks: list[int] = [0] * n
     built: list[int] = []
     for k in order:
@@ -61,23 +67,10 @@ def _reconstruct_pairs(f: Sequence[int]) -> list[tuple[int, int]]:
             b = j
             j += 1
         assert b <= n, "parking condition guarantees the root stays in range"
-        pairs[k] = (v, b)
+        roots[k] = Root(v, b, n)
         masks[k] = ((1 << (b + 1)) - 1) ^ ((1 << v) - 1)
         built.append(k)
-    return pairs  # type: ignore[return-value]
-
-
-def reconstruct(f: Sequence[int]) -> Basis:
-    """The unique basis whose initial vector is the parking function f.
-
-    >>> [str(r) for r in reconstruct((2, 2, 1))]
-    ['e[2,3]', 'e[2,2]', 'e[1,3]']
-    """
-    values = tuple(f)
-    if not is_parking(values):
-        raise ValueError(f"{values} is not a parking function")
-    n = len(values)
-    return tuple(Root(lo, hi, n) for lo, hi in _reconstruct_pairs(values))
+    return tuple(roots)  # type: ignore[arg-type]
 
 
 def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
@@ -111,13 +104,13 @@ def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
 
 
 def reconstruct_geometric(f: Sequence[int]) -> Basis:
-    """Reconstruct a basis by ray-shooting on the staircase diagram of f."""
+    """Reconstruct a basis by ray-shooting on the staircase diagram of f.
+
+    Raises ValueError, through `to_diagram`, unless f is a parking function.
+    """
     values = tuple(f)
-    if not is_parking(values):
-        raise ValueError(f"{values} is not a parking function")
     n = len(values)
-    diagram = to_diagram(values)
-    stops = ray_stops(diagram)
+    stops = ray_stops(to_diagram(values))
     return tuple(Root(values[k], stops[k], n) for k in range(n))
 
 

@@ -10,6 +10,7 @@ printing a single line "CODE: human text" on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -49,13 +50,35 @@ def _read_payload(args) -> dict:
     return payload
 
 
-def _emit(args, obj) -> None:
-    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True) + "\n"
-    if getattr(args, "outfile", None):
-        with open(args.outfile, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, out) -> None:
+    """Write a dict as one JSON line, a string as it is, or an iterable of lines one at a time.
+
+    Only `write` is called, so any object with a `write` method can stand in for stdout.
+    """
+    if isinstance(out, dict):
+        out = json.dumps(out, sort_keys=True) + "\n"
+    lines = [out] if isinstance(out, str) else out
+    target = contextlib.nullcontext(sys.stdout)
+    if args.outfile:
+        target = open(args.outfile, "w", encoding="utf-8")
+    with target as stream:
+        for line in lines:
+            stream.write(line)
+
+
+def _check_limit(args, what: str, default: int) -> None:
+    """Reject args.n above --limit, or above `default` when --limit is not given."""
+    limit = default if args.limit is None else args.limit
+    if args.n > limit:
+        raise CliError("E_LIMIT", f"n={args.n} exceeds the {what} limit {limit}; raise it with --limit")
+
+
+def _pairs(basis: tuple[Root, ...]) -> list[list[int]]:
+    return [list(r.as_pair()) for r in basis]
+
+
+def _blocks(chain: noncrossing.NCChain) -> list[list[list[int]]]:
+    return [[list(b) for b in p.blocks] for p in chain.partitions]
 
 
 def _is_int_list(value) -> bool:
@@ -100,9 +123,12 @@ def _payload_chain(payload: dict) -> noncrossing.NCChain:
     if not (nested and all(_is_int_list(block) for p in raw for block in p)):
         raise CliError("E_INVALID_CHAIN", "malformed chain: expected lists of integer blocks")
     try:
-        return noncrossing.NCChain(tuple(noncrossing.partition(blocks) for blocks in raw))
+        chain = noncrossing.NCChain(tuple(noncrossing.partition(blocks) for blocks in raw))
     except ValueError as exc:  # includes an empty block
         raise CliError("E_INVALID_CHAIN", f"malformed chain: {exc}") from exc
+    if chain.n < 1:
+        raise CliError("E_PARSE", "n must be >= 1")
+    return chain
 
 
 def cmd_convert(args) -> None:
@@ -111,14 +137,7 @@ def cmd_convert(args) -> None:
         f = _payload_pf(payload)
         basis = reconstruct(f)
         verified = initial_vector(basis) == f
-        _emit(
-            args,
-            {
-                "n": len(f),
-                "basis": [list(r.as_pair()) for r in basis],
-                "verified": verified,
-            },
-        )
+        _emit(args, {"n": len(f), "basis": _pairs(basis), "verified": verified})
     else:
         basis = _payload_basis(payload)
         f = initial_vector(basis)
@@ -126,44 +145,30 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": list(f), "verified": verified})
 
 
-_ENUM_LIMITS = {"pf": 8, "bases": 8, "nondecreasing": 12, "chains": 8}
+# kind: (default limit, closed-form count or None, enumerator, JSON fields of one item).
+# The lambdas look the enumerators up when called, so a rebinding of this
+# module's names (bench/spans.py traces that way) reaches them.
+_ENUMERATE = {
+    "pf": (8, lambda n: basis_count(n), lambda n: parking_functions(n), lambda f: {"f": list(f)}),
+    "bases": (8, None, lambda n: distinguished_bases(n), lambda b: {"basis": _pairs(b)}),
+    "nondecreasing": (
+        12, lambda n: catalan(n), lambda n: nondecreasing_parking_functions(n), lambda f: {"f": list(f)},
+    ),
+    "chains": (8, None, lambda n: noncrossing.maximal_chains(n), lambda c: {"chain": _blocks(c)}),
+}
 
 
 def cmd_enumerate(args) -> None:
-    limit = args.limit if args.limit is not None else _ENUM_LIMITS[args.kind]
-    if args.n > limit:
-        raise CliError(
-            "E_LIMIT", f"n={args.n} exceeds the {args.kind} limit {limit}; raise it with --limit"
-        )
+    limit, count, items, fields = _ENUMERATE[args.kind]
+    _check_limit(args, args.kind, limit)
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
     n = args.n
     if args.count:
-        counts = {
-            "pf": lambda: basis_count(n),
-            "bases": lambda: sum(1 for _ in distinguished_bases(n)),
-            "nondecreasing": lambda: catalan(n),
-            "chains": lambda: sum(1 for _ in noncrossing.maximal_chains(n)),
-        }
-        _emit(args, {"n": n, "kind": args.kind, "count": counts[args.kind]()})
-        return
-    lines = []
-    if args.kind == "pf":
-        lines = [{"n": n, "f": list(f)} for f in parking_functions(n)]
-    elif args.kind == "nondecreasing":
-        lines = [{"n": n, "f": list(f)} for f in nondecreasing_parking_functions(n)]
-    elif args.kind == "bases":
-        lines = [
-            {"n": n, "basis": [list(r.as_pair()) for r in basis]}
-            for basis in distinguished_bases(n)
-        ]
+        total = count(n) if count else sum(1 for _ in items(n))
+        _emit(args, {"n": n, "kind": args.kind, "count": total})
     else:
-        lines = [
-            {"n": n, "chain": [[list(b) for b in p.blocks] for p in c.partitions]}
-            for c in noncrossing.maximal_chains(n)
-        ]
-    text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines)
-    _emit(args, text)
+        _emit(args, (json.dumps({"n": n, **fields(x)}, sort_keys=True) + "\n" for x in items(n)))
 
 
 def cmd_braid(args) -> None:
@@ -187,7 +192,7 @@ def cmd_braid(args) -> None:
         {
             "n": n,
             "word": list(word),
-            "basis": [list(r.as_pair()) for r in result],
+            "basis": _pairs(result),
             "f": list(initial_vector(result)),
             "orbit_lengths": orbit_lengths,
         },
@@ -197,13 +202,12 @@ def cmd_braid(args) -> None:
 def cmd_orbit(args) -> None:
     if args.n < 2:
         raise CliError("E_PARSE", "orbit graphs need n >= 2")
-    if args.n > args.limit:
-        raise CliError("E_LIMIT", f"n={args.n} exceeds the orbit limit {args.limit}; raise it with --limit")
+    _check_limit(args, "orbit", 6)
     graph = orbit_graph(args.n)
     if args.format == "dot":
         _emit(args, render.orbit_dot(graph, include_beta=args.include_beta))
     else:
-        _emit(args, json.loads(render.render(render.RenderSpec("json", "orbit"), graph)))
+        _emit(args, render.render(render.RenderSpec("json", "orbit"), graph))
 
 
 def cmd_render(args) -> None:
@@ -239,18 +243,12 @@ def cmd_nc(args) -> None:
     if args.action == "to-chain":
         basis = _payload_basis(payload)
         chain = noncrossing.partition_chain(basis)
-        _emit(
-            args,
-            {
-                "n": chain.n,
-                "chain": [[list(b) for b in p.blocks] for p in chain.partitions],
-                "labels": list(noncrossing.stanley_labels(chain)),
-            },
-        )
+        labels = list(noncrossing.stanley_labels(chain))
+        _emit(args, {"n": chain.n, "chain": _blocks(chain), "labels": labels})
     else:
         chain = _payload_chain(payload)
         basis = noncrossing.chain_to_basis(chain)
-        _emit(args, {"n": chain.n, "basis": [list(r.as_pair()) for r in basis]})
+        _emit(args, {"n": chain.n, "basis": _pairs(basis)})
 
 
 _VERIFY_LIMITS = {"all": 5, "bijection": 7, "braid": 6, "quiver": 8, "noncrossing": 5}
@@ -259,11 +257,7 @@ _VERIFY_LIMITS = {"all": 5, "bijection": 7, "braid": 6, "quiver": 8, "noncrossin
 def cmd_verify(args) -> None:
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
-    limit = args.limit if args.limit is not None else _VERIFY_LIMITS[args.suite]
-    if args.n > limit:
-        raise CliError(
-            "E_LIMIT", f"n={args.n} exceeds the {args.suite} limit {limit}; raise it with --limit"
-        )
+    _check_limit(args, args.suite, _VERIFY_LIMITS[args.suite])
     report = verify.run_suite(args.n, args.suite, inject_fault=args.inject_fault)
     _emit(args, report)
     if not report["ok"]:
@@ -285,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate parking functions, bases or chains")
     p.add_argument("n", type=int)
-    p.add_argument("kind", choices=["pf", "bases", "nondecreasing", "chains"])
+    p.add_argument("kind", choices=list(_ENUMERATE))
     p.add_argument("--count", action="store_true", help="emit only the count")
     p.add_argument("--limit", type=int, help="raise the size limit")
     io_flags(p)
@@ -302,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--include-beta", action="store_true")
-    p.add_argument("--limit", type=int, default=6)
+    p.add_argument("--limit", type=int, help="raise the size limit")
     io_flags(p)
     p.set_defaults(fn=cmd_orbit)
 

@@ -30,6 +30,8 @@ class NCPartition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("a partition has at least one block")
         if not all(self.blocks):
             raise ValueError("blocks must be non-empty")
         points = sorted((x, k) for k, block in enumerate(self.blocks) for x in block)

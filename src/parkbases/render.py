@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .braid import OrbitGraph
 from .dbasis import ArcDiagram
@@ -66,23 +66,24 @@ def table_ascii(hom: Matrix, ext: Matrix) -> str:
     return "\n".join(block("hom", hom) + block("ext", ext)) + "\n"
 
 
+_UNIT = 20  # SVG pixels per lattice step
 _SVG_HEADER = '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{vb}">\n'
 
 
-def arcs_svg(arcs: ArcDiagram, unit: int = 20) -> str:
+def arcs_svg(arcs: ArcDiagram) -> str:
     """Semicircular arcs above a marked axis; each label sits at its arc apex."""
     n = arcs.rank
-    height = (n + 2) * unit // 2
-    parts = [_SVG_HEADER.format(vb=f"0 {-height} {n * unit} {height + unit}")]
+    height = (n + 2) * _UNIT // 2
+    parts = [_SVG_HEADER.format(vb=f"0 {-height} {n * _UNIT} {height + _UNIT}")]
     parts.append(
-        f'<line x1="0" y1="0" x2="{n * unit}" y2="0" stroke="black"/>\n'
+        f'<line x1="0" y1="0" x2="{n * _UNIT}" y2="0" stroke="black"/>\n'
     )
     for i in range(n + 1):
         parts.append(
-            f'<text class="tick" x="{i * unit}" y="{unit // 2}" text-anchor="middle">{i}</text>\n'
+            f'<text class="tick" x="{i * _UNIT}" y="{_UNIT // 2}" text-anchor="middle">{i}</text>\n'
         )
     for idx, (left, right) in enumerate(arcs.arcs):
-        x1, x2 = left * unit, right * unit
+        x1, x2 = left * _UNIT, right * _UNIT
         r = (x2 - x1) // 2
         apex_x, apex_y = (x1 + x2) // 2, -r
         parts.append(
@@ -96,24 +97,24 @@ def arcs_svg(arcs: ArcDiagram, unit: int = 20) -> str:
     return "".join(parts)
 
 
-def diagram_svg(diagram: ParkingDiagram, unit: int = 20) -> str:
+def diagram_svg(diagram: ParkingDiagram) -> str:
     """The staircase diagram as unit squares below the x-axis, labels at row ends."""
     n = diagram.n
-    parts = [_SVG_HEADER.format(vb=f"0 0 {(n + 1) * unit} {(n + 1) * unit}")]
-    parts.append(f'<line x1="0" y1="0" x2="{(n + 1) * unit}" y2="0" stroke="black"/>\n')
-    parts.append(f'<line x1="0" y1="0" x2="0" y2="{(n + 1) * unit}" stroke="black"/>\n')
+    parts = [_SVG_HEADER.format(vb=f"0 0 {(n + 1) * _UNIT} {(n + 1) * _UNIT}")]
+    parts.append(f'<line x1="0" y1="0" x2="{(n + 1) * _UNIT}" y2="0" stroke="black"/>\n')
+    parts.append(f'<line x1="0" y1="0" x2="0" y2="{(n + 1) * _UNIT}" stroke="black"/>\n')
     for p in range(n - 1, -1, -1):
         depth = n - p
         length = diagram.lengths[p]
-        y = (depth - 1) * unit
+        y = (depth - 1) * _UNIT
         for cell in range(length):
             parts.append(
-                f'<rect x="{cell * unit}" y="{y}" width="{unit}" height="{unit}" '
+                f'<rect x="{cell * _UNIT}" y="{y}" width="{_UNIT}" height="{_UNIT}" '
                 f'fill="none" stroke="black"/>\n'
             )
         parts.append(
-            f'<text class="label" data-row="{depth}" x="{length * unit + 4}" '
-            f'y="{y + unit - 4}">{diagram.labels[p]}</text>\n'
+            f'<text class="label" data-row="{depth}" x="{length * _UNIT + 4}" '
+            f'y="{y + _UNIT - 4}">{diagram.labels[p]}</text>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)
@@ -179,7 +180,3 @@ def _jsonable(target: str, payload):
         hom, ext = payload
         return {"hom": [list(r) for r in hom], "ext": [list(r) for r in ext]}
     raise AssertionError("unreachable")
-
-
-def iter_supported() -> Iterable[tuple[str, str]]:
-    return sorted(SUPPORTED)

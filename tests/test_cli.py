@@ -1,9 +1,19 @@
+import contextlib
+import hashlib
 import io
 import json
+import re
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from parkbases.bijection import reconstruct
 from parkbases.cli import main
+from parkbases.noncrossing import partition_chain
+from parkbases.parking import parking_functions
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -285,6 +295,7 @@ def test_convert_rejects_non_integer_basis_entries(monkeypatch, capsys):
         '{"chain":[[[0],[]]]}',  # an empty block
         '{"chain":[[[false],[true]],[[false,true]]]}',  # JSON bools
         '{"chain":[[[0.0],[1.0]],[[0.0,1.0]]]}',  # JSON floats
+        '{"chain":[[]]}',  # a partition with no block
     ],
 )
 def test_nc_from_chain_rejects_malformed_blocks(payload, monkeypatch, capsys):
@@ -305,3 +316,143 @@ def test_verify_rejects_n_below_one(n, monkeypatch, capsys):
 def test_convert_rejects_n_zero(direction, payload, monkeypatch, capsys):
     code, out, err = run_cli(["convert", direction], payload, monkeypatch, capsys)
     assert _single_error(code, out, err, "E_PARSE: n must be >= 1")
+
+
+def test_nc_from_chain_rejects_n_zero(monkeypatch, capsys):
+    code, out, err = run_cli(["nc", "from-chain"], '{"chain":[[[0]]]}', monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE: n must be >= 1")
+
+
+class _WriteOnly:
+    """A stdout with nothing but `write`, keeping the size and digest of what it gets."""
+
+    def __init__(self):
+        self.size = 0
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.sha.update(text.encode())
+        return len(text)
+
+
+# Sizes and sha256 digests of the output written before `enumerate` streamed.
+ENUMERATE_GOLDEN = [
+    (["enumerate", "4", "pf"], 3500, "d75ac841a479442e3f9e47adca9f7fdedbf66d5051a571b19b462835537e47b8"),
+    (["enumerate", "4", "bases"], 6500, "766b4da738a63ca6247823054659d10b71e814ce89990fdab20d837df6b208b0"),
+    (["enumerate", "4", "chains"], 16875, "ab0b3bd76bf0a715799b1fe0b904aceeb9bd490f98e3ac359c240c5aa7374832"),
+    (["enumerate", "6", "nondecreasing"], 4488,
+     "de046f594b21cb397a0da8abe4122b57ead25a198105a4496b6194dca38ea695"),
+]
+
+
+@pytest.mark.parametrize("argv,size,sha", ENUMERATE_GOLDEN)
+def test_enumerate_writes_golden_lines_to_a_write_only_stdout(argv, size, sha, monkeypatch):
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    main(argv)
+    assert (sink.size, sink.sha.hexdigest()) == (size, sha)
+
+
+@pytest.mark.parametrize("argv,size,sha", ENUMERATE_GOLDEN)
+def test_enumerate_out_file_matches_stdout(argv, size, sha, tmp_path, monkeypatch, capsys):
+    outfile = tmp_path / "out.ndjson"
+    code, out, _ = run_cli([*argv, "--out", str(outfile)], "", monkeypatch, capsys)
+    assert code == 0 and out == ""
+    data = outfile.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
+
+
+def test_enumerate_memory_stays_flat(monkeypatch):
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        main(["enumerate", "6", "pf"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 571438  # all 16,807 lines were written
+    assert peak < 2**20
+
+
+def test_orbit_json_is_the_render_json(monkeypatch, capsys):
+    _, orbit_out, _ = run_cli(["orbit", "3", "--format", "json"], "", monkeypatch, capsys)
+    render_argv = ["render", "--format", "json", "--target", "orbit"]
+    _, render_out, _ = run_cli(render_argv, '{"n":3}', monkeypatch, capsys)
+    assert orbit_out and orbit_out == render_out
+
+
+# Fuzzing the stdin verbs: every payload either succeeds or gets one error line.
+STDIN_VERBS = [
+    ["convert", "pf-to-basis"],
+    ["convert", "basis-to-pf"],
+    ["braid", "apply", "1"],
+    ["braid", "apply", "2 -1 3"],
+    ["quiver", "table"],
+    ["nc", "to-chain"],
+    ["nc", "from-chain"],
+    *(
+        ["render", "--format", fmt, "--target", target]
+        for fmt, target in [("ascii", "diagram"), ("ascii", "arcs"), ("ascii", "table"),
+                            ("svg", "diagram"), ("svg", "arcs"), ("json", "diagram"),
+                            ("json", "arcs"), ("json", "table"), ("json", "orbit"),
+                            ("dot", "arcs")]
+    ),
+]
+_SMALL = st.integers(-2, 5)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.sampled_from([10**6, 2.0, 1.5]) | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=10,
+)
+_VALID_PFS = [list(f) for n in range(1, 5) for f in parking_functions(n)]
+
+
+@st.composite
+def _payloads(draw):
+    """Valid payloads for every verb, then some fields replaced by near-miss or arbitrary JSON."""
+    f = draw(st.sampled_from(_VALID_PFS))
+    basis = reconstruct(f)
+    chain = partition_chain(basis)
+    payload = {
+        "n": len(f),
+        "f": f,
+        "basis": [list(r.as_pair()) for r in basis],
+        "chain": [[list(b) for b in p.blocks] for p in chain.partitions],
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(payload)), max_size=3, unique=True)):
+        payload[key] = draw(
+            _JSON
+            | st.lists(_SMALL, max_size=6)
+            | st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=6)
+            | st.lists(st.lists(st.lists(_SMALL, max_size=3), max_size=4), max_size=5)
+        )
+    return draw(st.just(payload) | _JSON)
+
+
+def _run_quiet(argv, stdin_text):
+    """`run_cli` without pytest's function-scoped fixtures, which hypothesis examples cannot share."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    code = 0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(argv)
+    except SystemExit as exc:
+        code = exc.code or 0
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.sampled_from(STDIN_VERBS), payload=_payloads())
+def test_stdin_verbs_answer_or_print_one_error_line(argv, payload):
+    code, out, err = _run_quiet(argv, json.dumps(payload))
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code == 1 and out == "", (code, out)
+        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), err

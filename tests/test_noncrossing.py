@@ -32,6 +32,8 @@ def test_partition_canonicalisation_and_validation():
         partition([[0], []])  # an empty block
     with pytest.raises(ValueError):
         NCPartition(((0,), ()))
+    with pytest.raises(ValueError):
+        partition([])  # no block
     assert partition([[0, 1, 3], [2]]).n == 3  # nested is fine
 
 
