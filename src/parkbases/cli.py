@@ -68,6 +68,8 @@ def _emit(args, out) -> None:
 
 def _check_limit(args, what: str, default: int) -> None:
     """Reject args.n above --limit, or above `default` when --limit is not given."""
+    if args.limit is not None and args.limit < 1:
+        raise CliError("E_PARSE", "--limit must be >= 1")
     limit = default if args.limit is None else args.limit
     if args.n > limit:
         raise CliError("E_LIMIT", f"n={args.n} exceeds the {what} limit {limit}; raise it with --limit")
@@ -199,10 +201,14 @@ def cmd_braid(args) -> None:
     )
 
 
+# The largest n of an orbit graph: `orbit`'s default --limit and `render --target orbit`'s bound.
+_ORBIT_LIMIT = 6
+
+
 def cmd_orbit(args) -> None:
     if args.n < 2:
         raise CliError("E_PARSE", "orbit graphs need n >= 2")
-    _check_limit(args, "orbit", 6)
+    _check_limit(args, "orbit", _ORBIT_LIMIT)
     graph = orbit_graph(args.n)
     if args.format == "dot":
         _emit(args, render.orbit_dot(graph, include_beta=args.include_beta))
@@ -226,8 +232,8 @@ def cmd_render(args) -> None:
         n = payload.get("n")
         if type(n) is not int:
             raise CliError("E_PARSE", "orbit rendering needs an integer field 'n'")
-        if n < 2 or n > 6:
-            raise CliError("E_LIMIT", "orbit rendering supports 2 <= n <= 6")
+        if n < 2 or n > _ORBIT_LIMIT:
+            raise CliError("E_LIMIT", f"orbit rendering supports 2 <= n <= {_ORBIT_LIMIT}")
         obj = orbit_graph(n)
     _emit(args, render.render(spec, obj))
 

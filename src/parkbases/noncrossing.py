@@ -30,25 +30,40 @@ class NCPartition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        if not self.blocks:
+        blocks = self.blocks
+        if not blocks:
             raise ValueError("a partition has at least one block")
-        if not all(self.blocks):
+        if not all(blocks):
             raise ValueError("blocks must be non-empty")
-        points = sorted((x, k) for k, block in enumerate(self.blocks) for x in block)
-        if [x for x, _ in points] != list(range(len(points))):
-            raise ValueError("blocks must partition a range {0, ..., n}")
-        for block in self.blocks:
-            if list(block) != sorted(block):
-                raise ValueError(f"block {block} is not sorted")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
+        # owner[x] is the index of the block holding point x.  Points must be
+        # plain ints (no bools, no floats) covering 0..size-1 exactly once.
+        size = sum(map(len, blocks))
+        owner = [-1] * size
+        unsorted, misordered = None, False
+        last_min = -1
+        for k, block in enumerate(blocks):
+            prev = -1
+            for x in block:
+                if type(x) is not int or not 0 <= x < size or owner[x] != -1:
+                    raise ValueError("blocks must partition a range {0, ..., n}")
+                owner[x] = k
+                if x < prev and unsorted is None:
+                    unsorted = block
+                prev = x
+            if block[0] < last_min:
+                misordered = True
+            last_min = block[0]
+        if unsorted is not None:
+            raise ValueError(f"block {unsorted} is not sorted")
+        if misordered:
             raise ValueError("blocks must be sorted by minimum")
         # Scan left to right keeping a stack of the blocks that have started but
         # not finished; every later point of a block must continue the innermost.
         open_blocks: list[int] = []
-        for x, k in points:
-            block = self.blocks[k]
+        for x, k in enumerate(owner):
+            block = blocks[k]
             if x != block[0] and (top := open_blocks.pop()) != k:
-                raise ValueError(f"blocks {self.blocks[top]} and {block} cross")
+                raise ValueError(f"blocks {blocks[top]} and {block} cross")
             if x != block[-1]:
                 open_blocks.append(k)
 
@@ -134,16 +149,20 @@ def stanley_labels(chain: NCChain) -> tuple[int, ...]:
 def partition_chain(basis: Sequence[Root]) -> NCChain:
     """The chain of connected-component partitions of the first k arcs of a basis."""
     arcs = to_arcs(basis)
-    parts = [singletons(arcs.rank)]
+    points = range(arcs.rank + 1)
+    owner = list(points)  # point -> minimum of its block
+    blocks = {x: (x,) for x in points}  # keyed by minimum, in order of minimum
+    parts = [NCPartition(tuple(blocks.values()))]
     for left, right in arcs.arcs:
-        blocks = parts[-1].blocks
-        b, b_prime = sorted(next(blk for blk in blocks if x in blk) for x in (left, right))
-        if b is b_prime:
+        m, m_prime = sorted((owner[left], owner[right]))
+        if m == m_prime:
             raise ValueError("arcs of a basis never close a cycle")
-        # The joined block keeps B's place in the order by minimum.
-        merged = tuple(sorted(b + b_prime))
-        blocks = tuple(merged if blk is b else blk for blk in blocks if blk is not b_prime)
-        parts.append(NCPartition(blocks))
+        # The joined block keeps B's key, and so its place in the order by minimum.
+        b_prime = blocks.pop(m_prime)
+        blocks[m] = tuple(sorted(blocks[m] + b_prime))
+        for x in b_prime:
+            owner[x] = m
+        parts.append(NCPartition(tuple(blocks.values())))
     return NCChain(tuple(parts))
 
 

@@ -13,6 +13,11 @@ intertwiner solve over the rationals (hom_dim_oracle).  The closed form is
 adopted because it provably matches the oracle on every pair; the test suite
 re-checks this exhaustively.  Ext^1 is hom - euler, valid because higher Ext
 groups vanish for quiver representations.
+
+`hom_ext_table` fills both matrices of any same-rank sequence from the closed
+interval rules in one pass.  `diagram_hom_ext` reads the same matrices of a
+complete exceptional sequence off the staircase diagram of its levels; that
+reading is a theorem `verify` checks on every basis, not a step of the table.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import dataclasses
 from typing import Sequence
 
 from . import linalg
-from .bijection import initial_vector, ray_stops
+from .bijection import ray_stops
 from .parking import to_diagram
 from .roots import Root, seifert
 
@@ -123,34 +128,63 @@ def is_exceptional_sequence(modules: Sequence[IntervalModule]) -> bool:
 
 
 def hom_ext_table(modules: Sequence[IntervalModule]) -> tuple[Matrix, Matrix]:
-    """Full Hom and Ext^1 dimension matrices of a complete exceptional sequence.
+    """Full Hom and Ext^1 dimension matrices of a sequence of same-rank modules.
 
-    Also re-derives every above-diagonal entry from the staircase diagram of
-    the initial vector and the ray stops, and raises if the geometric reading
-    ever disagrees with the matrices:
+    Entry (i, j) is the closed form for the pair (E_i, E_j) = (a, b):
 
-    - Hom(E_i, E_j) = 1 for i < j iff P_i and P_j share a column (surjections)
-      or the rays of i and j stop in the same column (injections);
-    - Ext^1(E_i, E_j) = 1 for i < j iff the ray of i stops in the column of
-      P_j;
-    - all other above-diagonal dimensions vanish.
+    - Hom = 1 iff b.lo <= a.lo <= b.hi <= a.hi (as `hom_dim`);
+    - Ext^1 = Hom - Seifert (as `ext_dim`), which is 1 iff
+      a.lo < b.lo <= a.hi + 1 <= b.hi.
+
+    For a complete exceptional sequence the same matrices can be read off the
+    staircase diagram of its levels (`diagram_hom_ext`); that reading is a
+    theorem `verify` checks on every basis, not a step of this function.
     """
     mods = tuple(modules)
-    n = len(mods)
-    hom = tuple(tuple(hom_dim(a, b) for b in mods) for a in mods)
-    ext = tuple(tuple(ext_dim(a, b) for b in mods) for a in mods)
-    f = initial_vector(m.root for m in mods)
+    for m in mods:
+        if m.rank != mods[0].rank:
+            raise ValueError(f"rank mismatch: {mods[0].rank} != {m.rank}")
+    pairs = [(m.root.lo, m.root.hi) for m in mods]
+    hom = tuple(
+        tuple([1 if b_lo <= a_lo <= b_hi <= a_hi else 0 for b_lo, b_hi in pairs])
+        for a_lo, a_hi in pairs
+    )
+    ext = tuple(
+        tuple([1 if a_lo < b_lo <= a_hi + 1 <= b_hi else 0 for b_lo, b_hi in pairs])
+        for a_lo, a_hi in pairs
+    )
+    return hom, ext
+
+
+def diagram_hom_ext(f: Sequence[int]) -> tuple[Matrix, Matrix]:
+    """Hom and Ext^1 matrices read off the staircase diagram of a parking function f.
+
+    They belong to the complete exceptional sequence whose levels are f
+    (`reconstruct(f)`).  With P_k the corner labelled k and its ray stops, for
+    i < j:
+
+    - Hom(E_i, E_j) = 1 iff P_i and P_j share a column (surjections) or the
+      rays of i and j stop in the same column (injections);
+    - Ext^1(E_i, E_j) = 1 iff the ray of i stops in the column of P_j.
+
+    On the diagonal Hom is 1 and Ext^1 is 0 (the modules are exceptional), and
+    below it both vanish (nothing maps from later to earlier).  `verify` checks
+    that this equals `hom_ext_table` on every basis.
+    """
+    f = tuple(f)
+    n = len(f)
     stops = ray_stops(to_diagram(f))
-    for i in range(n):
-        for j in range(i + 1, n):
-            same_column = f[i] == f[j]
-            same_stop = stops[i] == stops[j]
-            expected_hom = 1 if same_column or same_stop else 0
-            expected_ext = 1 if stops[i] == f[j] - 1 else 0
-            if hom[i][j] != expected_hom or ext[i][j] != expected_ext:
-                raise RuntimeError(
-                    f"diagram reading disagrees with matrices at ({i + 1}, {j + 1})"
-                )
+    hom = tuple(
+        tuple(
+            [0] * i + [1]
+            + [1 if f[i] == f[j] or stops[i] == stops[j] else 0 for j in range(i + 1, n)]
+        )
+        for i in range(n)
+    )
+    ext = tuple(
+        tuple([0] * (i + 1) + [1 if stops[i] == f[j] - 1 else 0 for j in range(i + 1, n)])
+        for i in range(n)
+    )
     return hom, ext
 
 

@@ -214,8 +214,18 @@ def check_exceptional_matches_validate(n: int) -> None:
 
 
 def check_hom_ext_table(n: int) -> None:
+    # The one-pass table against per-cell hom_dim/ext_dim and the diagram reading.
     for basis in dbasis.distinguished_bases(n):
-        quiver.hom_ext_table(quiver.modules_of(basis))  # raises on any mismatch
+        mods = quiver.modules_of(basis)
+        table = quiver.hom_ext_table(mods)
+        cells = (
+            tuple(tuple(quiver.hom_dim(a, b) for b in mods) for a in mods),
+            tuple(tuple(quiver.ext_dim(a, b) for b in mods) for a in mods),
+        )
+        if table != cells:
+            raise CheckFailure({"basis": [r.as_pair() for r in basis], "reading": "cells"})
+        if quiver.diagram_hom_ext(bijection.initial_vector(basis)) != table:
+            raise CheckFailure({"basis": [r.as_pair() for r in basis], "reading": "diagram"})
 
 
 def check_nondecreasing_families(n: int) -> None:

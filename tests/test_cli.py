@@ -266,6 +266,32 @@ def test_render_orbit_rejects_non_integer_n(monkeypatch, capsys):
         assert _single_error(code, out, err, "E_PARSE:"), payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "0", "pf", "--limit", "-1"],
+        ["enumerate", "3", "pf", "--limit", "0"],
+        ["orbit", "3", "--limit", "0"],
+        ["verify", "2", "all", "--limit", "-5"],
+    ],
+)
+def test_limit_below_one_is_a_parse_error(argv, monkeypatch, capsys):
+    code, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+    assert err == "E_PARSE: --limit must be >= 1\n"
+
+
+def test_orbit_limit_messages(monkeypatch, capsys):
+    code, out, err = run_cli(["orbit", "7"], "", monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_LIMIT:")
+    assert err == "E_LIMIT: n=7 exceeds the orbit limit 6; raise it with --limit\n"
+    argv = ["render", "--format", "json", "--target", "orbit"]
+    for payload in ('{"n":7}', '{"n":1}'):
+        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+        assert _single_error(code, out, err, "E_LIMIT:"), payload
+        assert err == "E_LIMIT: orbit rendering supports 2 <= n <= 6\n"
+
+
 def test_convert_rejects_bools_in_f(monkeypatch, capsys):
     code, out, err = run_cli(["convert", "pf-to-basis"], '{"f":[true,true]}', monkeypatch, capsys)
     assert _single_error(code, out, err, "E_PARSE:")

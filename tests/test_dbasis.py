@@ -17,10 +17,9 @@ from parkbases.dbasis import (
     to_arcs,
     validate_basis,
 )
-from parkbases.parking import is_parking
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs
+from helpers import all_bases, all_pfs, basis_of_pairs, random_parking
 
 N12_PAIRS = [
     (3, 3), (11, 11), (7, 7), (5, 7), (9, 9), (8, 9),
@@ -305,22 +304,12 @@ def test_dependent_code_matches_rank_exhaustive(n):
         assert (_code(tup, n) == "dependent") == _rank_deficient(tup, n), tup
 
 
-def _random_parking(rng, n):
-    # Pollak: exactly one rotation mod n + 1 of a vector in [1..n+1]^n parks.
-    v = [rng.randint(1, n + 1) for _ in range(n)]
-    for s in range(n + 1):
-        f = tuple((x - 1 + s) % (n + 1) + 1 for x in v)
-        if max(f) <= n and is_parking(f):
-            return f
-    raise AssertionError("no rotation parks")
-
-
 @pytest.mark.parametrize("n", range(5, 13))
 def test_dependent_code_matches_rank_sampled(n):
     rng = random.Random(n)
     roots = list(positive_roots(n))
     for _ in range(60):
-        basis = list(reconstruct(_random_parking(rng, n)))
+        basis = list(reconstruct(random_parking(rng, n)))
         assert _code(basis, n) is None
         k = rng.randrange(n)
         for tup in (

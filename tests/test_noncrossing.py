@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -24,17 +25,26 @@ from helpers import all_bases, basis_of_pairs
 def test_partition_canonicalisation_and_validation():
     p = partition([[2], [0, 1]])
     assert p.blocks == ((0, 1), (2,))
-    with pytest.raises(ValueError):
-        partition([[0, 2], [1, 3]])  # crossing
-    with pytest.raises(ValueError):
-        partition([[0], [2]])  # not a range
-    with pytest.raises(ValueError):
-        partition([[0], []])  # an empty block
-    with pytest.raises(ValueError):
-        NCPartition(((0,), ()))
-    with pytest.raises(ValueError):
-        partition([])  # no block
     assert partition([[0, 1, 3], [2]]).n == 3  # nested is fine
+    # One fault each, and the exact message that names it.
+    cases = [
+        (lambda: partition([[0, 2], [1, 3]]), "blocks (1, 3) and (0, 2) cross"),
+        (lambda: partition([[0], [2]]), "blocks must partition a range {0, ..., n}"),
+        (lambda: partition([[0], []]), "blocks must be non-empty"),
+        (lambda: NCPartition(((0,), ())), "blocks must be non-empty"),
+        (lambda: partition([]), "a partition has at least one block"),
+        (lambda: NCPartition(((1, 0), (2,))), "block (1, 0) is not sorted"),
+        (lambda: NCPartition(((2,), (0, 1))), "blocks must be sorted by minimum"),
+        (lambda: NCPartition(((0, 1, 1),)), "blocks must partition a range {0, ..., n}"),
+        (lambda: NCPartition(((0, -1),)), "blocks must partition a range {0, ..., n}"),
+        # Points are plain ints: no silent coercion of floats or bools.
+        (lambda: NCPartition(((0,), (1.0,))), "blocks must partition a range {0, ..., n}"),
+        (lambda: NCPartition(((0,), (True,))), "blocks must partition a range {0, ..., n}"),
+        (lambda: partition([[False], [1]]), "blocks must partition a range {0, ..., n}"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_chain_validation():

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases import quiver
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.dbasis import is_basis, to_arcs
 from parkbases.parking import (
@@ -14,6 +16,7 @@ from parkbases.parking import (
 )
 from parkbases.quiver import (
     IntervalModule,
+    diagram_hom_ext,
     ext_dim,
     euler,
     filtration_level,
@@ -27,7 +30,7 @@ from parkbases.quiver import (
 )
 from parkbases.roots import Root, positive_roots, seifert
 
-from helpers import all_bases, basis_of_pairs
+from helpers import all_bases, basis_of_pairs, random_parking
 
 
 def mod(lo, hi, n):
@@ -119,10 +122,56 @@ def test_hom_ext_table_simple_roots():
             assert hom[i][j] == (1 if i == j else 0)
 
 
+def _cells(mods):
+    return (
+        tuple(tuple(hom_dim(a, b) for b in mods) for a in mods),
+        tuple(tuple(ext_dim(a, b) for b in mods) for a in mods),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hom_ext_table_matches_cells_exhaustive(n):
+    for basis in all_bases(n):
+        mods = modules_of(basis)
+        assert hom_ext_table(mods) == _cells(mods), basis
+    if n <= 3:  # the closed form holds for any same-rank sequence, not only bases
+        for tup in itertools.product(positive_roots(n), repeat=n):
+            mods = modules_of(tup)
+            assert hom_ext_table(mods) == _cells(mods), tup
+
+
+@pytest.mark.parametrize("n", [16, 64, 200])
+def test_hom_ext_table_matches_cells_sampled(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        f = random_parking(rng, n)
+        mods = modules_of(reconstruct(f))
+        assert hom_ext_table(mods) == _cells(mods), f
+
+
+def test_hom_ext_table_rank_mismatch():
+    mods = (mod(1, 1, 2), mod(2, 2, 2), mod(1, 3, 3))
+    with pytest.raises(ValueError, match=r"^rank mismatch: 2 != 3$"):
+        hom_ext_table(mods)
+    assert hom_ext_table(()) == ((), ())
+
+
+def test_hom_ext_table_needs_no_per_cell_helpers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the table's path")
+
+    for name in ("hom_dim", "ext_dim", "euler", "seifert", "ray_stops"):
+        monkeypatch.setattr(quiver, name, refuse)
+    hom, ext = hom_ext_table(modules_of(reconstruct((2, 1, 3))))
+    assert hom == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert ext == ((0, 0, 1), (0, 0, 1), (0, 0, 0))
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_hom_ext_table_diagram_reading(n):
     for basis in all_bases(n):
-        hom_ext_table(modules_of(basis))  # raises if the geometric reading disagrees
+        f = initial_vector(basis)
+        assert diagram_hom_ext(f) == hom_ext_table(modules_of(basis)), f
 
 
 def test_diagram_reading_has_indirect_ext_witness():

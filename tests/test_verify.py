@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from parkbases import dbasis, noncrossing, parking, verify
+from parkbases import dbasis, noncrossing, parking, quiver, verify
 
 
 def test_nested_run_keeps_the_outer_fault(monkeypatch):
@@ -60,6 +60,31 @@ def test_geometric_checks_corners_on_boundary(monkeypatch):
     report = verify.run_suite(2, "bijection")
     entry = next(c for c in report["checks"] if c["name"] == "geometric_equals_algebraic")
     assert entry["ok"] is False and entry["counterexample"]["corners_off_boundary"]
+
+
+def _hom_ext_entry(n):
+    report = verify.run_suite(n, "quiver")
+    return next(c for c in report["checks"] if c["name"] == "hom_ext_table_reading")
+
+
+def test_hom_ext_table_reading_checks_the_diagram(monkeypatch):
+    # The table does not read the diagram, so only this check sees the reading break.
+    reading = quiver.diagram_hom_ext
+
+    def no_ext(f):
+        hom, ext = reading(f)
+        return hom, tuple(tuple(0 for _ in row) for row in ext)
+
+    monkeypatch.setattr(quiver, "diagram_hom_ext", no_ext)
+    entry = _hom_ext_entry(3)
+    assert entry["ok"] is False and entry["counterexample"]["reading"] == "diagram"
+
+
+def test_hom_ext_table_reading_checks_every_cell(monkeypatch):
+    ext_dim = quiver.ext_dim
+    monkeypatch.setattr(quiver, "ext_dim", lambda v, w: 1 - ext_dim(v, w))
+    entry = _hom_ext_entry(2)
+    assert entry["ok"] is False and entry["counterexample"]["reading"] == "cells"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
