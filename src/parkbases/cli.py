@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -125,7 +126,7 @@ def _payload_chain(payload: dict) -> noncrossing.NCChain:
     if not (nested and all(_is_int_list(block) for p in raw for block in p)):
         raise CliError("E_INVALID_CHAIN", "malformed chain: expected lists of integer blocks")
     try:
-        chain = noncrossing.NCChain(tuple(noncrossing.partition(blocks) for blocks in raw))
+        chain = noncrossing.chain_of_partitions([noncrossing.partition(blocks) for blocks in raw])
     except ValueError as exc:  # includes an empty block
         raise CliError("E_INVALID_CHAIN", f"malformed chain: {exc}") from exc
     if chain.n < 1:
@@ -270,6 +271,7 @@ def cmd_verify(args) -> None:
         sys.exit(1)
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parkbases")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -6,13 +6,16 @@ block and b, d in a different block.  Partitions are canonicalised as tuples of
 blocks sorted by minimum, each block a sorted tuple.
 
 A maximal chain refines from the all-singletons partition to the one-block
-partition in n steps, each merging exactly two blocks; `NCChain.merges` records
-step k as the merged pair (B, B') with min B < min B'.  Chains correspond to
-bases (`partition_chain` / `chain_to_basis`) and, via the merge labels
-(`stanley_labels`), to parking functions shifted down by one.
+partition in n steps, each joining two blocks B, B' with min B < min B'.  An
+`NCChain` is its n merges (label, max B'), the label being the largest point of
+B below B'; its `partitions` are replayed on request, and `chain_of_partitions`
+reads the merges off given partitions.  Merge k is arc k of a basis
+(`partition_chain` / `chain_to_basis`), and the labels (`stanley_labels`) are a
+parking function shifted down by one.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from typing import Iterator, Sequence
@@ -84,32 +87,45 @@ def singletons(n: int) -> NCPartition:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class NCChain:
-    """A maximal chain of non-crossing partitions of {0, ..., n}.
+    """A maximal chain on {0, ..., n} as its merges (label, max B'); see the module docstring."""
 
-    `merges[k]` is the pair (B, B') of blocks joined at step k, with min B < min B'.
-    """
-
-    partitions: tuple[NCPartition, ...]
-    merges: tuple[tuple[Block, Block], ...] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if not self.partitions:
-            raise ValueError("empty chain")
-        n = self.partitions[0].n
-        if len(self.partitions) != n + 1:
-            raise ValueError(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
-        if self.partitions[0] != singletons(n):
-            raise ValueError("chains must start at the all-singletons partition")
-        if len(self.partitions[-1].blocks) != 1:
-            raise ValueError("chains must end at the one-block partition")
-        steps = zip(self.partitions, self.partitions[1:])  # merge_of raises unless a single merge
-        object.__setattr__(self, "merges", tuple(merge_of(lower, upper) for lower, upper in steps))
+    merges: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
-        return self.partitions[0].n
+        return len(self.merges)
+
+    @property
+    def partitions(self) -> tuple[NCPartition, ...]:
+        """The n + 1 partitions replayed from the merges; ValueError unless they form a chain."""
+        owner = list(range(self.n + 1))  # point -> minimum of its block
+        blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
+        parts = [NCPartition(tuple(blocks.values()))]
+        for step, (label, top) in enumerate(self.merges, 1):
+            if not (
+                type(label) is type(top) is int and 0 <= label < top <= self.n
+                and (m := owner[label]) < (m_prime := owner[top])
+                and blocks[m_prime][-1] == top and _label(blocks[m], blocks[m_prime]) == label
+            ):
+                raise ValueError(f"step {step}: {(label, top)} is not the merge of a maximal chain")
+            _join(owner, blocks, m, m_prime)
+            parts.append(NCPartition(tuple(blocks.values())))  # raises if the join crosses
+        return tuple(parts)
+
+
+def chain_of_partitions(parts: Sequence[NCPartition]) -> NCChain:
+    """The chain through the given partitions; ValueError unless it is a maximal chain."""
+    if not parts:
+        raise ValueError("empty chain")
+    n = parts[0].n
+    if len(parts) != n + 1:
+        raise ValueError(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
+    if parts[0] != singletons(n):
+        raise ValueError("chains must start at the all-singletons partition")
+    if len(parts[-1].blocks) != 1:
+        raise ValueError("chains must end at the one-block partition")
+    steps = (merge_of(lower, upper) for lower, upper in zip(parts, parts[1:]))
+    return NCChain(tuple((_label(b, b_prime), b_prime[-1]) for b, b_prime in steps))
 
 
 def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
@@ -131,45 +147,62 @@ def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
 
 def _label(b: Block, b_prime: Block) -> int:
     """The label of a merge: with min(B) < min(B'), the largest i in B below B'."""
-    # "below B'" means below every element; blocks merge non-crossingly, so
-    # comparing against the minimum is the same thing.  `verify` checks the
-    # two readings against each other on every merge of every maximal chain.
-    return max(i for i in b if i < min(b_prime))
+    # Blocks sorted; below min(B') is below all of B'.  `verify` re-reads the rule literally.
+    return b[bisect.bisect(b, b_prime[0]) - 1]
+
+
+def _nested_label(owner: list[int], blocks: dict[int, Block], m: int, m_prime: int) -> int | None:
+    """The label of joining the blocks with minima m < m_prime, or None if the join crosses.
+
+    It does unless each point between the label and m_prime lies in a block inside that gap.
+    """
+    label = _label(blocks[m], blocks[m_prime])
+    x = label + 1
+    while x < m_prime:
+        if owner[x] != x:  # x's block starts left of the gap
+            return None
+        x = blocks[x][-1] + 1
+    return label if x == m_prime else None
+
+
+def _join(owner: list[int], blocks: dict[int, Block], m: int, m_prime: int) -> Block:
+    """Join the blocks with minima m < m_prime in place (the join keeps key m); return B'."""
+    b_prime = blocks.pop(m_prime)
+    blocks[m] = tuple(sorted(blocks[m] + b_prime))
+    for x in b_prime:
+        owner[x] = m
+    return b_prime
 
 
 def stanley_labels(chain: NCChain) -> tuple[int, ...]:
-    """The sequence of merge labels of a maximal chain.
-
-    Adding 1 to every entry gives a parking function, and the map is a
-    bijection onto parking functions.
-    """
-    return tuple(_label(b, b_prime) for b, b_prime in chain.merges)
+    """The merge labels of a chain; adding 1 to each is a bijection onto parking functions."""
+    return tuple(label for label, _ in chain.merges)
 
 
 def partition_chain(basis: Sequence[Root]) -> NCChain:
     """The chain of connected-component partitions of the first k arcs of a basis."""
     arcs = to_arcs(basis)
-    points = range(arcs.rank + 1)
-    owner = list(points)  # point -> minimum of its block
-    blocks = {x: (x,) for x in points}  # keyed by minimum, in order of minimum
-    parts = [NCPartition(tuple(blocks.values()))]
+    owner = list(range(arcs.rank + 1))  # point -> minimum of its block
+    blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
+    merges = []
     for left, right in arcs.arcs:
         m, m_prime = sorted((owner[left], owner[right]))
         if m == m_prime:
             raise ValueError("arcs of a basis never close a cycle")
-        # The joined block keeps B's key, and so its place in the order by minimum.
-        b_prime = blocks.pop(m_prime)
-        blocks[m] = tuple(sorted(blocks[m] + b_prime))
-        for x in b_prime:
-            owner[x] = m
-        parts.append(NCPartition(tuple(blocks.values())))
-    return NCChain(tuple(parts))
+        label = _nested_label(owner, blocks, m, m_prime)
+        b_prime = _join(owner, blocks, m, m_prime)
+        if label is None:
+            NCPartition(tuple(blocks.values()))  # raises "blocks X and Y cross"
+            raise RuntimeError(f"the gap test rejects joining {b_prime}, which NCPartition accepts")
+        merges.append((label, b_prime[-1]))
+    if len(merges) != arcs.rank:  # too few arcs
+        raise ValueError(f"a maximal chain on {{0..{arcs.rank}}} has {arcs.rank + 1} partitions")
+    return NCChain(tuple(merges))
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
     """The basis whose arc components realise the chain (inverse of partition_chain)."""
-    n = chain.n
-    return tuple(Root(_label(b, b_prime) + 1, max(b_prime), n) for b, b_prime in chain.merges)
+    return tuple(Root(label + 1, top, chain.n) for label, top in chain.merges)
 
 
 def maximal_chains(n: int) -> Iterator[NCChain]:
@@ -180,21 +213,15 @@ def maximal_chains(n: int) -> Iterator[NCChain]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
-    def rec(prefix: list[NCPartition]) -> Iterator[NCChain]:
-        current = prefix[-1]
-        if len(current.blocks) == 1:
-            yield NCChain(tuple(prefix))
-            return
-        blocks = current.blocks
-        for i, j in itertools.combinations(range(len(blocks)), 2):
-            merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
-            merged.append(tuple(sorted(blocks[i] + blocks[j])))
-            try:
-                nxt = partition(merged)
-            except ValueError:
-                continue  # the merge would cross a third block
-            prefix.append(nxt)
-            yield from rec(prefix)
-            prefix.pop()
+    def rec(owner: list[int], blocks: dict[int, Block], merges: tuple) -> Iterator[NCChain]:
+        if len(blocks) == 1:
+            yield NCChain(merges)
+        for m, m_prime in itertools.combinations(blocks, 2):  # in order of minimum
+            label = _nested_label(owner, blocks, m, m_prime)
+            if label is not None:  # else the join would cross a third block
+                owner_next, blocks_next = owner.copy(), blocks.copy()
+                top = _join(owner_next, blocks_next, m, m_prime)[-1]
+                yield from rec(owner_next, blocks_next, merges + ((label, top),))
 
-    yield from rec([singletons(n)])
+    owner = list(range(n + 1))  # point -> minimum of its block
+    yield from rec(owner, {x: (x,) for x in owner}, ())  # blocks keyed by minimum

@@ -17,29 +17,17 @@ from .quiver import Matrix
 
 FORMATS = ("ascii", "svg", "dot", "json")
 TARGETS = ("arcs", "diagram", "orbit", "table")
-SUPPORTED = {
-    ("ascii", "arcs"),
-    ("ascii", "diagram"),
-    ("ascii", "table"),
-    ("svg", "arcs"),
-    ("svg", "diagram"),
-    ("dot", "orbit"),
-    ("json", "arcs"),
-    ("json", "diagram"),
-    ("json", "orbit"),
-    ("json", "table"),
-}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class RenderSpec:
-    """A (format, target) pair; only the combinations in SUPPORTED exist."""
+    """A (format, target) pair; only the combinations in RENDERERS exist."""
 
     format: str
     target: str
 
     def __post_init__(self):
-        if (self.format, self.target) not in SUPPORTED:
+        if (self.format, self.target) not in RENDERERS:
             raise ValueError(f"unsupported rendering {self.format}/{self.target}")
 
 
@@ -141,42 +129,23 @@ def orbit_dot(graph: OrbitGraph, include_beta: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# (format, target) -> renderer; a json renderer gives the value `render` writes as one line.
+RENDERERS = {
+    ("ascii", "arcs"): arcs_ascii,
+    ("ascii", "diagram"): diagram_ascii,
+    ("ascii", "table"): lambda table: table_ascii(*table),
+    ("svg", "arcs"): arcs_svg,
+    ("svg", "diagram"): diagram_svg,
+    ("dot", "orbit"): lambda graph: orbit_dot(graph),  # late-bound: bench/spans.py rebinds it
+    ("json", "arcs"): lambda a: {"arcs": [list(arc) for arc in a.arcs], "n": a.rank},
+    ("json", "diagram"): lambda d: {"labels": list(d.labels), "lengths": list(d.lengths), "n": d.n},
+    ("json", "orbit"): lambda g: {"n": g.n, "nodes": [list(f) for f in g.nodes],
+                                  "edges": [[list(f), k, list(h)] for f, k, h in g.edges()]},
+    ("json", "table"): lambda t: {"hom": [list(r) for r in t[0]], "ext": [list(r) for r in t[1]]},
+}
+
+
 def render(spec: RenderSpec, payload) -> str:
     """Dispatch a RenderSpec on an already-built domain object."""
-    key = (spec.format, spec.target)
-    if key == ("ascii", "diagram"):
-        return diagram_ascii(payload)
-    if key == ("ascii", "arcs"):
-        return arcs_ascii(payload)
-    if key == ("ascii", "table"):
-        return table_ascii(*payload)
-    if key == ("svg", "arcs"):
-        return arcs_svg(payload)
-    if key == ("svg", "diagram"):
-        return diagram_svg(payload)
-    if key == ("dot", "orbit"):
-        return orbit_dot(payload)
-    if spec.format == "json":
-        return json.dumps(_jsonable(spec.target, payload), sort_keys=True) + "\n"
-    raise AssertionError("unreachable: SUPPORTED was checked")
-
-
-def _jsonable(target: str, payload):
-    if target == "arcs":
-        return {"arcs": [list(a) for a in payload.arcs], "n": payload.rank}
-    if target == "diagram":
-        return {
-            "labels": list(payload.labels),
-            "lengths": list(payload.lengths),
-            "n": payload.n,
-        }
-    if target == "orbit":
-        return {
-            "n": payload.n,
-            "nodes": [list(f) for f in payload.nodes],
-            "edges": [[list(f), k, list(g)] for f, k, g in payload.edges()],
-        }
-    if target == "table":
-        hom, ext = payload
-        return {"hom": [list(r) for r in hom], "ext": [list(r) for r in ext]}
-    raise AssertionError("unreachable")
+    out = RENDERERS[spec.format, spec.target](payload)
+    return json.dumps(out, sort_keys=True) + "\n" if spec.format == "json" else out

@@ -255,12 +255,12 @@ def check_chain_counts(n: int) -> None:
     shifted = set()
     for chain in chains:
         labels = noncrossing.stanley_labels(chain)
-        for step, (lower, upper) in enumerate(zip(chain.partitions, chain.partitions[1:])):
+        parts = chain.partitions  # replayed from the merges, each partition validated
+        for step, (lower, upper) in enumerate(zip(parts, parts[1:])):
             # The label rule read literally: the largest i in B below every element of B'.
             b, b_prime = noncrossing.merge_of(lower, upper)
             if labels[step] != max((i for i in b if all(i < x for x in b_prime)), default=None):
-                chain_blocks = [p.blocks for p in chain.partitions]
-                raise CheckFailure({"chain": chain_blocks, "step": step + 1})
+                raise CheckFailure({"chain": [p.blocks for p in parts], "step": step + 1})
         shifted.add(tuple(v + 1 for v in labels))
     if shifted != set(parking.parking_functions(n)):
         raise CheckFailure({"labels": len(shifted)})

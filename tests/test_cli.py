@@ -235,10 +235,12 @@ def test_verify_braid_rank5_within_budget(monkeypatch, capsys):
 
 
 def test_output_deterministic(monkeypatch, capsys):
-    payload = '{"n":3,"f":[2,2,1]}'
-    _, out1, _ = run_cli(["convert", "pf-to-basis"], payload, monkeypatch, capsys)
-    _, out2, _ = run_cli(["convert", "pf-to-basis"], payload, monkeypatch, capsys)
-    assert out1 == out2
+    # One parser serves every call in a process; a repeated call, errors included, answers the same.
+    calls = [(["convert", "pf-to-basis"], '{"n":3,"f":[2,2,1]}'), (["enumerate", "0", "pf"], ""),
+             (["enumerate", "two", "pf"], "")]  # the last is rejected by argparse itself
+    first = [run_cli(argv, stdin, monkeypatch, capsys) for argv, stdin in calls]
+    assert first[1] == (1, "", "E_PARSE: n must be >= 1\n") and first[2][0] == 2
+    assert [run_cli(argv, stdin, monkeypatch, capsys) for argv, stdin in calls] == first
 
 
 def test_file_io(tmp_path, monkeypatch, capsys):

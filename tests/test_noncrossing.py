@@ -1,13 +1,16 @@
 import itertools
+import random
 import re
 
 import pytest
 
-from parkbases.bijection import initial_vector
+from parkbases import noncrossing
+from parkbases.bijection import initial_vector, reconstruct
 from parkbases.noncrossing import (
     NCChain,
     NCPartition,
     _label,
+    chain_of_partitions,
     chain_to_basis,
     maximal_chains,
     merge_of,
@@ -19,7 +22,7 @@ from parkbases.noncrossing import (
 from parkbases.parking import is_parking, parking_functions
 from parkbases.roots import Root, positive_roots
 
-from helpers import all_bases, basis_of_pairs
+from helpers import all_bases, basis_of_pairs, random_parking
 
 
 def test_partition_canonicalisation_and_validation():
@@ -48,12 +51,54 @@ def test_partition_canonicalisation_and_validation():
 
 
 def test_chain_validation():
-    good = NCChain((singletons(2), partition([[0, 1], [2]]), partition([[0, 1, 2]])))
-    assert good.n == 2
-    with pytest.raises(ValueError):
-        NCChain((singletons(2), partition([[0, 1, 2]])))  # skips a level
-    with pytest.raises(ValueError):
-        NCChain((partition([[0, 1], [2]]), partition([[0, 1, 2]])))  # wrong start
+    one, top = partition([[0, 1], [2]]), partition([[0, 1, 2]])
+    assert chain_of_partitions([singletons(2), one, top]) == NCChain(((0, 1), (1, 2)))
+    cases = [
+        ([], "empty chain"),
+        ([singletons(2), top], "a maximal chain on {0..2} has 3 partitions"),  # skips a level
+        ([one, top, top], "chains must start at the all-singletons partition"),
+        ([singletons(2), one, one], "chains must end at the one-block partition"),
+        ([singletons(3), partition([[0, 1], [2, 3]]), top, partition([[0, 1, 2, 3]])],
+         "not a single-merge cover"),
+        ([singletons(1), top], "merged block does not match the removed pair"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chain_of_partitions(parts)
+    # Hand-built merges that no maximal chain has fail when the partitions are read.
+    not_a_merge = "is not the merge of a maximal chain"
+    cases = [
+        (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),  # 5 is outside {0, 1}
+        (((1, 0),), f"step 1: (1, 0) {not_a_merge}"),  # label above top
+        (((0, True),), f"step 1: (0, True) {not_a_merge}"),  # points are plain ints
+        (((0, 2), (1, 2)), f"step 2: (1, 2) {not_a_merge}"),  # {0, 2} has the smaller minimum
+        (((0, 1), (0, 2)), f"step 2: (0, 2) {not_a_merge}"),  # the label of {0, 1} is 1
+        (((0, 1), (0, 1)), f"step 2: (0, 1) {not_a_merge}"),  # 0 and 1 share a block
+        (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),  # {1, 3} ends at 3
+        (((0, 2), (1, 3), (0, 1)), "blocks (1, 3) and (0, 2) cross"),
+    ]
+    for merges, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NCChain(merges).partitions
+
+
+def test_chains_and_bases_need_no_trial_partition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no partition is built on this path")
+
+    monkeypatch.setattr(noncrossing, "partition", refuse)
+    monkeypatch.setattr(noncrossing, "merge_of", refuse)
+    assert sum(1 for _ in maximal_chains(4)) == 125
+    for n in range(1, 5):
+        for basis in all_bases(n):
+            chain = partition_chain(basis)
+            assert chain_to_basis(chain) == basis and len(stanley_labels(chain)) == n
+
+
+def test_gap_test_rejection_is_never_overruled(monkeypatch):
+    monkeypatch.setattr(noncrossing, "_nested_label", lambda *args: None)
+    with pytest.raises(RuntimeError):
+        partition_chain(basis_of_pairs([(1, 1), (2, 2)], 2))  # NCPartition accepts each join
 
 
 def test_rank2_worked_chain():
@@ -84,15 +129,7 @@ def test_merge_label_readings_agree():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_chain_merges_are_the_merge_of_each_step(n):
     for chain in maximal_chains(n):
-        steps = zip(chain.partitions, chain.partitions[1:])
-        assert chain.merges == tuple(merge_of(lower, upper) for lower, upper in steps)
-
-
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 16), (4, 125)])
-def test_chain_counts(n, count):
-    chains = list(maximal_chains(n))
-    assert len(chains) == count
-    assert len(set(chains)) == count
+        assert chain_of_partitions(chain.partitions) == chain
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -151,10 +188,24 @@ def _component_history(arcs, n):
     return history
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+def _near_bases(n, count=40):
+    """Seeded near misses: a random basis with one root replaced, or two swapped."""
+    rng, roots = random.Random(n), list(positive_roots(n))
+    for _ in range(count):
+        tup = list(reconstruct(random_parking(rng, n)))
+        if rng.random() < 0.5:
+            tup[rng.randrange(n)] = rng.choice(roots)
+        else:
+            i, j = rng.sample(range(n), 2)
+            tup[i], tup[j] = tup[j], tup[i]
+        yield tuple(tup)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 10, 11, 12])
 def test_partition_chain_matches_component_oracle(n):
-    # Every n-tuple of positive roots, valid basis or not.
-    for tup in itertools.product(list(positive_roots(n)), repeat=n):
+    # Every n-tuple of positive roots, valid basis or not, up to n = 4; near misses beyond.
+    tuples = itertools.product(list(positive_roots(n)), repeat=n) if n <= 4 else _near_bases(n)
+    for tup in tuples:
         arcs = [(r.lo - 1, r.hi) for r in tup]
         try:
             expected = _component_history(arcs, n)
@@ -167,14 +218,7 @@ def test_partition_chain_matches_component_oracle(n):
         assert got == expected, tup
 
 
-def test_chain_round_trip_from_enumeration():
-    for chain in maximal_chains(4):
-        assert partition_chain(chain_to_basis(chain)) == chain
-
-
 def test_shifted_labels_are_parking_rank6():
-    from parkbases.bijection import reconstruct
-
     for f in parking_functions(6):
         labels = stanley_labels(partition_chain(reconstruct(f)))
         assert tuple(v + 1 for v in labels) == f

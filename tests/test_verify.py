@@ -40,8 +40,12 @@ def test_fault_flag_does_not_leak_across_threads(monkeypatch):
 
 
 def test_chain_counts_reads_each_label_twice(monkeypatch):
-    # The label rule compared against its minimum is re-read literally.
-    monkeypatch.setattr(noncrossing, "_label", lambda b, b_prime: b[0])
+    # Labels that read min B instead of the label rule, injected after enumeration.
+    def min_b(chain):
+        parts = chain.partitions
+        return tuple(noncrossing.merge_of(lower, upper)[0][0] for lower, upper in zip(parts, parts[1:]))
+
+    monkeypatch.setattr(noncrossing, "stanley_labels", min_b)
     report = verify.run_suite(3, "noncrossing")
     entry = next(c for c in report["checks"] if c["name"] == "chain_counts")
     assert entry["ok"] is False and "step" in entry["counterexample"]
