@@ -44,7 +44,7 @@ def _read_payload(args) -> dict:
         else:
             text = sys.stdin.read()
         payload = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise CliError("E_PARSE", f"cannot read JSON input: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError("E_PARSE", "top-level JSON value must be an object")
@@ -60,8 +60,11 @@ def _emit(args, out) -> None:
         out = json.dumps(out, sort_keys=True) + "\n"
     lines = [out] if isinstance(out, str) else out
     target = contextlib.nullcontext(sys.stdout)
-    if args.outfile:
-        target = open(args.outfile, "w", encoding="utf-8")
+    try:
+        if args.outfile:
+            target = open(args.outfile, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError("E_IO", f"cannot write output: {exc}") from exc
     with target as stream:
         for line in lines:
             stream.write(line)

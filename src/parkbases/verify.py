@@ -77,18 +77,21 @@ def check_cartan(n: int) -> None:
 
 def check_counts(n: int) -> None:
     pf = sum(1 for _ in parking.parking_functions(n))
-    bases = sum(1 for _ in dbasis.distinguished_bases(n))
+    bases = len(set(dbasis.distinguished_bases(n)))  # distinct bases
     if not pf == bases == dbasis.basis_count(n):
         raise CheckFailure({"parking": pf, "bases": bases, "expected": dbasis.basis_count(n)})
 
 
 def check_round_trips(n: int) -> None:
-    for f in parking.parking_functions(n):
-        if bijection.initial_vector(bijection.reconstruct(f)) != f:
-            raise CheckFailure({"f": list(f)})
+    # Each basis returns from its initial vector, and the vectors are all of PF_n.
+    vectors = set()
     for basis in dbasis.distinguished_bases(n):
-        if bijection.reconstruct(bijection.initial_vector(basis)) != basis:
+        vectors.add(f := bijection.initial_vector(basis))
+        if bijection.reconstruct(f) != basis:
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
+    for f in parking.parking_functions(n):
+        if f not in vectors:
+            raise CheckFailure({"f": list(f)})
 
 
 def check_geometric(n: int) -> None:
@@ -120,35 +123,35 @@ def check_validate_accepts(n: int) -> None:
 
 def check_braid_axioms(n: int) -> None:
     for basis in dbasis.distinguished_bases(n):
+        lefts = {}
         for k in range(1, n):
-            left = braid.mutate(basis, k, "left")
+            left = lefts[k] = braid.mutate(basis, k, "left")
             dbasis.validate_basis(left, n)
-            if braid.mutate(left, k, "right") != basis:
+            if braid.mutate(left, k, "right") != basis or braid.apply_word(basis, (-k, k)) != basis:
                 raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k})
             order = braid.generator_order(basis, k)
-            current = basis
-            for _ in range(order):
+            current, length = left, 1
+            while current != basis and length <= order:
                 current = braid.mutate(current, k, "left")
-            if current != basis:
+                length += 1
+            if order not in (2, 3) or length != order:
                 raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k, "order": order})
         for k in range(1, n - 1):
-            lhs = braid.apply_word(basis, (k, k + 1, k))
-            rhs = braid.apply_word(basis, (k + 1, k, k + 1))
-            if lhs != rhs:
+            if braid.apply_word(lefts[k], (k + 1, k)) != braid.apply_word(lefts[k + 1], (k, k + 1)):
                 raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k})
         for k, m in itertools.combinations(range(1, n), 2):
-            if m - k > 1:
-                if braid.apply_word(basis, (k, m)) != braid.apply_word(basis, (m, k)):
-                    raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k, "m": m})
+            if m - k > 1 and braid.mutate(lefts[k], m, "left") != braid.mutate(lefts[m], k, "left"):
+                raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k, "m": m})
 
 
 def check_diagram_mutation(n: int) -> None:
     for f in parking.parking_functions(n):
         diagram = parking.to_diagram(f)
+        basis = bijection.reconstruct(f)
         for k in range(1, n):
             for direction in ("left", "right"):
                 via_diagram = parking.from_diagram(braid.mutate_diagram(diagram, k, direction))
-                if via_diagram != braid.mutate_parking(f, k, direction):
+                if via_diagram != bijection.initial_vector(braid.mutate(basis, k, direction)):
                     raise CheckFailure({"f": list(f), "k": k, "direction": direction})
 
 
@@ -156,12 +159,11 @@ def check_flips(n: int) -> None:
     for f in parking.nondecreasing_parking_functions(n):
         young = braid.young_of_diagram(parking.to_diagram(f))
         neighbours = {braid.flip_row(young, k) for k in range(1, n + 1)} | {young}
+        basis = bijection.reconstruct(f)
         for k in range(1, n):
             for direction in ("left", "right"):
-                moved = braid.young_of_diagram(
-                    parking.to_diagram(braid.mutate_parking(f, k, direction))
-                )
-                if moved not in neighbours:
+                moved = bijection.initial_vector(braid.mutate(basis, k, direction))
+                if braid.young_of_diagram(parking.to_diagram(moved)) not in neighbours:
                     raise CheckFailure({"f": list(f), "k": k, "direction": direction})
 
 
@@ -244,8 +246,10 @@ def check_nondecreasing_families(n: int) -> None:
             nd_sets.add(arcs)
         if nomono:
             nomono_sets.add(arcs)
-    if not (len(nd_sets) == parking.catalan(n) and nd_sets == nomono_sets):
-        raise CheckFailure({"nd": len(nd_sets), "nomono": len(nomono_sets)})
+    image = {frozenset(dbasis.to_arcs(bijection.reconstruct(f)).arcs)
+             for f in parking.nondecreasing_parking_functions(n)}
+    if not (len(nd_sets) == parking.catalan(n) and nd_sets == nomono_sets == image):
+        raise CheckFailure({"nd": len(nd_sets), "nomono": len(nomono_sets), "image": len(image)})
 
 
 def check_chain_counts(n: int) -> None:
@@ -274,6 +278,9 @@ def check_chain_identity(n: int) -> None:
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
         if noncrossing.chain_to_basis(chain) != basis:
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
+    for chain in noncrossing.maximal_chains(n):
+        if noncrossing.partition_chain(noncrossing.chain_to_basis(chain)) != chain:
+            raise CheckFailure({"chain": [p.blocks for p in chain.partitions]})
 
 
 SUITES: dict[str, list[tuple[str, Check]]] = {

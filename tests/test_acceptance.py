@@ -1,57 +1,16 @@
 """
 Acceptance suite: one test per criterion, each printing a PASS line with its
 scope.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
-Every bound and tolerance is exact; there is no calibration anywhere.
+Every bound and tolerance is exact; there is no calibration anywhere.  The
+exhaustive identities are the `parkbases.verify` checks, run here at the sizes
+each PASS line names; a failing check raises `CheckFailure` with its
+counterexample.
 """
-import itertools
 import time
 
-import pytest
-
-from parkbases.bijection import (
-    initial_vector,
-    reconstruct,
-    reconstruct_geometric,
-)
-from parkbases.braid import (
-    flip_row,
-    generator_order,
-    mutate,
-    mutate_diagram,
-    mutate_parking,
-    orbit_graph,
-    young_of_diagram,
-)
-from parkbases.dbasis import (
-    distinguished_bases,
-    is_basis,
-    to_arcs,
-    validate_basis,
-)
-from parkbases.noncrossing import (
-    chain_to_basis,
-    maximal_chains,
-    partition_chain,
-    stanley_labels,
-)
-from parkbases.parking import (
-    catalan,
-    from_diagram,
-    nondecreasing_parking_functions,
-    parking_functions,
-    to_diagram,
-)
-from parkbases.quiver import (
-    IntervalModule,
-    ext_dim,
-    euler,
-    hom_dim,
-    hom_dim_oracle,
-    is_exceptional_sequence,
-    is_nondecreasing_collection,
-    modules_of,
-)
-from parkbases.roots import positive_roots, seifert
+from parkbases import verify
+from parkbases.bijection import reconstruct, reconstruct_geometric
+from parkbases.braid import orbit_graph
 
 from helpers import ALPHA1_RANK3, ALPHA2_RANK3, all_bases, basis_of_pairs
 
@@ -80,23 +39,13 @@ def criterion(number: int):
 @criterion(1)
 def test_criterion_01_count_identity():
     started = time.time()
-    for n in range(1, 6):
-        bases = all_bases(n)
-        assert len(bases) == len(set(bases)) == (n + 1) ** (n - 1)
-        for basis in bases:
-            validate_basis(basis, n)
     for n in range(1, 8):
-        seen = set()
-        for f in parking_functions(n):
-            basis = reconstruct(f)
-            for j in range(1, n):
-                for i in range(j):
-                    assert seifert(basis[j], basis[i]) == 0
-            seen.add(basis)
-        assert len(seen) == (n + 1) ** (n - 1)
+        verify.check_counts(n)
+    for n in range(1, 6):
+        verify.check_validate_accepts(n)
     elapsed = time.time() - started
     assert elapsed < 60.0
-    report(1, f"(n+1)^(n-1) bases, recursive n<=5 and reconstructive n<=7, {elapsed:.1f}s")
+    report(1, f"(n+1)^(n-1) distinct bases and parking functions n<=7, every basis validated n<=5, {elapsed:.1f}s")
 
 
 @criterion(2)
@@ -121,20 +70,15 @@ def test_criterion_02_golden_lists():
 @criterion(3)
 def test_criterion_03_bijection_round_trips():
     for n in range(1, 8):
-        for f in parking_functions(n):
-            assert initial_vector(reconstruct(f)) == f
-    for n in range(1, 6):
-        for basis in all_bases(n):
-            assert reconstruct(initial_vector(basis)) == basis
-    report(3, "initial-vector round trips: parking n<=7, bases n<=5, zero failures")
+        verify.check_round_trips(n)
+    report(3, "initial-vector round trips: parking functions and bases n<=7, zero failures")
 
 
 @criterion(4)
 def test_criterion_04_geometric_equivalence():
     for n in range(1, 8):
-        for f in parking_functions(n):
-            assert reconstruct_geometric(f) == reconstruct(f)
-    report(4, "ray-shooting reconstruction equals the algebraic one on all of PF_n, n<=7")
+        verify.check_geometric(n)
+    report(4, "ray-shooting reconstruction equals the algebraic one, corners on the boundary, PF_n n<=7")
 
 
 @criterion(5)
@@ -157,29 +101,8 @@ def test_criterion_05_worked_examples():
 @criterion(6)
 def test_criterion_06_braid_axioms():
     for n in range(2, 6):
-        for basis in all_bases(n):
-            for k in range(1, n):
-                left = mutate(basis, k, "left")
-                assert mutate(left, k, "right") == basis
-                assert mutate(mutate(basis, k, "right"), k, "left") == basis
-                order = generator_order(basis, k)
-                assert order == (
-                    2 if seifert(basis[k - 1], basis[k]) == 0 and seifert(basis[k], basis[k - 1]) == 0 else 3
-                )
-                current = basis
-                for _ in range(order):
-                    current = mutate(current, k, "left")
-                assert current == basis
-            for k in range(1, n - 1):
-                lhs = mutate(mutate(mutate(basis, k, "left"), k + 1, "left"), k, "left")
-                rhs = mutate(mutate(mutate(basis, k + 1, "left"), k, "left"), k + 1, "left")
-                assert lhs == rhs
-            for k, m in itertools.combinations(range(1, n), 2):
-                if m - k > 1:
-                    assert mutate(mutate(basis, k, "left"), m, "left") == mutate(
-                        mutate(basis, m, "left"), k, "left"
-                    )
-    report(6, "inverses, far commutation, braid relation, orbit predictor: all bases n<=5")
+        verify.check_braid_axioms(n)
+    report(6, "inverses, far commutation, braid relation, exact orbit lengths: all bases n<=5")
 
 
 @criterion(7)
@@ -197,79 +120,32 @@ def test_criterion_07_figure_reproduction():
 @criterion(8)
 def test_criterion_08_diagram_level_mutation():
     for n in range(2, 7):
-        for f in parking_functions(n):
-            diagram = to_diagram(f)
-            for k in range(1, n):
-                for direction in ("left", "right"):
-                    expected = mutate_parking(f, k, direction)
-                    assert from_diagram(mutate_diagram(diagram, k, direction)) == expected
-    for n in range(2, 7):
-        for f in nondecreasing_parking_functions(n):
-            young = young_of_diagram(to_diagram(f))
-            neighbours = {flip_row(young, k) for k in range(1, n + 1)} | {young}
-            for k in range(1, n):
-                for direction in ("left", "right"):
-                    moved = young_of_diagram(to_diagram(mutate_parking(f, k, direction)))
-                    assert moved in neighbours
+        verify.check_diagram_mutation(n)
+        verify.check_flips(n)
     report(8, "diagram surgery equals conjugated mutation and flips cover the moves, n<=6")
 
 
 @criterion(9)
 def test_criterion_09_quiver_consistency():
-    for n in range(1, 9):
-        for a, b in itertools.product(positive_roots(n), repeat=2):
-            v, w = IntervalModule(a), IntervalModule(b)
-            assert hom_dim(v, w) == hom_dim_oracle(v, w)
     for n in range(1, 13):
-        for a, b in itertools.product(positive_roots(n), repeat=2):
-            v, w = IntervalModule(a), IntervalModule(b)
-            assert euler(v, w) == hom_dim(v, w) - ext_dim(v, w)
-    for n in range(1, 5):
-        for tup in itertools.product(positive_roots(n), repeat=n):
-            assert is_exceptional_sequence(modules_of(tup)) == is_basis(tup, n)
+        verify.check_hom_oracle(n)
     for n in range(1, 11):
-        for a, b in itertools.product(positive_roots(n), repeat=2):
-            if seifert(b, a) == 0:
-                expected = 1 if a.hi + 1 == b.lo else 0
-                assert ext_dim(IntervalModule(a), IntervalModule(b)) == expected
-    report(9, "hom oracle n<=8, euler identity n<=12, sequence<=>basis n<=4, ext rule n<=10")
+        verify.check_ext_formula(n)
+    for n in range(1, 5):
+        verify.check_exceptional_matches_validate(n)
+    report(9, "hom oracle and euler identity n<=12, ext rule n<=10, sequence<=>basis n<=4")
 
 
 @criterion(10)
 def test_criterion_10_noncrossing():
     for n in range(1, 6):
-        for basis in all_bases(n):
-            chain = partition_chain(basis)
-            assert tuple(v + 1 for v in stanley_labels(chain)) == initial_vector(basis)
-            assert chain_to_basis(chain) == basis
-        chains = list(maximal_chains(n))
-        assert len(chains) == len(set(chains)) == (n + 1) ** (n - 1)
-        for chain in chains:
-            assert partition_chain(chain_to_basis(chain)) == chain
+        verify.check_chain_counts(n)
+        verify.check_chain_identity(n)
     report(10, "chain identity, chain counts and mutual inverses hold for n<=5")
 
 
 @criterion(11)
 def test_criterion_11_catalan_counts():
     for n in range(1, 7):
-        nd_fns = list(nondecreasing_parking_functions(n))
-        assert len(nd_fns) == catalan(n)
-        image = set()
-        for f in nd_fns:
-            basis = reconstruct(f)
-            assert len({r.hi for r in basis}) == n
-            image.add(frozenset(to_arcs(basis).arcs))
-        assert len(image) == catalan(n)
-        distinct_right = set()
-        collections = set()
-        bases = all_bases(n) if n <= 5 else map(reconstruct, parking_functions(n))
-        for basis in bases:
-            arcs = to_arcs(basis).arcs
-            has_distinct = len({right for _, right in arcs}) == n
-            assert has_distinct == is_nondecreasing_collection(modules_of(basis))
-            if has_distinct:
-                distinct_right.add(frozenset(arcs))
-                collections.add(frozenset(r.as_pair() for r in basis))
-        assert len(distinct_right) == len(collections) == catalan(n)
-        assert image == distinct_right
+        verify.check_nondecreasing_families(n)
     report(11, "non-decreasing functions, arc families and collections: Catalan, same sets, n<=6")

@@ -1,20 +1,17 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases import verify
 from parkbases.bijection import (
     initial_vector,
     reconstruct,
     reconstruct_geometric,
     reconstruct_permutation,
 )
-from parkbases.dbasis import to_arcs
-from parkbases.parking import is_parking, nondecreasing_parking_functions
 from parkbases.roots import Root, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs
+from helpers import all_pfs, basis_of_pairs
 
 N12_F = (3, 11, 7, 5, 9, 8, 5, 2, 1, 10, 2, 12)
 N12_PAIRS = [
@@ -59,21 +56,17 @@ def test_reconstruct_rejects_non_parking():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_in_vector_reconstruct_round_trip(n):
-    for f in all_pfs(n):
-        assert initial_vector(reconstruct(f)) == f
+    verify.check_round_trips(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_reconstruct_in_vector_round_trip(n):
-    for basis in all_bases(n):
-        assert reconstruct(initial_vector(basis)) == basis
-        assert is_parking(initial_vector(basis))
+    verify.check_round_trips(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_geometric_equals_algebraic(n):
-    for f in all_pfs(n):
-        assert reconstruct_geometric(f) == reconstruct(f)
+    verify.check_geometric(n)
 
 
 def test_permutation_examples():
@@ -89,26 +82,12 @@ def test_permutation_rejects_non_permutation():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_permutation_shortcut_equals_reconstruct(n):
-    for sigma in itertools.permutations(range(1, n + 1)):
-        assert reconstruct_permutation(sigma) == reconstruct(sigma)
+    verify.check_permutation_shortcut(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_nondecreasing_image_is_distinct_right_end_family(n):
-    # as unordered arc sets, the image of the non-decreasing parking functions
-    # is exactly the family of bases with pairwise distinct arc right ends
-    image = set()
-    for f in nondecreasing_parking_functions(n):
-        basis = reconstruct(f)
-        rights = [r.hi for r in basis]
-        assert len(set(rights)) == n
-        image.add(frozenset(to_arcs(basis).arcs))
-    distinct = set()
-    for basis in all_bases(n) if n <= 5 else map(reconstruct, all_pfs(n)):
-        arcs = to_arcs(basis).arcs
-        if len({right for _, right in arcs}) == n:
-            distinct.add(frozenset(arcs))
-    assert image == distinct
+    verify.check_nondecreasing_families(n)
 
 
 RANK3_NODE_PAIRS = [

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases import verify
 from parkbases.bijection import reconstruct
 from parkbases.braid import (
     apply_word,
@@ -16,10 +17,9 @@ from parkbases.braid import (
     parse_word,
     validate_young,
     young_diagrams,
-    young_of_diagram,
 )
 from parkbases.dbasis import validate_basis
-from parkbases.parking import catalan, from_diagram, nondecreasing_parking_functions, to_diagram
+from parkbases.parking import catalan, from_diagram, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
 from helpers import all_bases, all_pfs, basis_of_pairs
@@ -149,26 +149,12 @@ def test_generator_order_values():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_generator_order_matches_iteration(n):
-    for basis in all_bases(n):
-        for k in range(1, n):
-            order = generator_order(basis, k)
-            assert order in (2, 3)
-            current = basis
-            for step in range(1, order + 1):
-                current = mutate(current, k, "left")
-                if step < order:
-                    assert current != basis
-            assert current == basis
+    verify.check_braid_axioms(n)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_diagram_mutation_matches_algebra(n):
-    for f in all_pfs(n):
-        diagram = to_diagram(f)
-        for k in range(1, n):
-            for direction in ("left", "right"):
-                expected = mutate_parking(f, k, direction)
-                assert from_diagram(mutate_diagram(diagram, k, direction)) == expected
+    verify.check_diagram_mutation(n)
 
 
 def test_diagram_mutation_plain_swap_case():
@@ -254,13 +240,7 @@ def test_flips_stay_in_staircase_and_reverse(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_braid_moves_are_single_flips(n):
-    for f in nondecreasing_parking_functions(n):
-        young = young_of_diagram(to_diagram(f))
-        neighbours = {flip_row(young, k) for k in range(1, n + 1)} | {young}
-        for k in range(1, n):
-            for direction in ("left", "right"):
-                moved = young_of_diagram(to_diagram(mutate_parking(f, k, direction)))
-                assert moved in neighbours
+    verify.check_flips(n)
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())

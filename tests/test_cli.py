@@ -261,6 +261,21 @@ def _single_error(code, out, err, prefix):
     return code == 1 and out == "" and err.startswith(prefix) and err.count("\n") == 1
 
 
+def test_unreadable_input_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_bytes(b'{"f":[1,\xff]}')  # not UTF-8
+    code, out, err = run_cli(["convert", "pf-to-basis", "--in", str(infile)], "", monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+    code, out, err = run_cli(["convert", "pf-to-basis"], '{"f":' + "[" * 100_000, monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE:")
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-parent"])
+def test_unwritable_out_is_one_error_line(target, tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(["enumerate", "2", "pf", "--out", str(tmp_path / target)], "", monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_IO:")
+
+
 def test_render_orbit_rejects_non_integer_n(monkeypatch, capsys):
     argv = ["render", "--format", "json", "--target", "orbit"]
     for payload in ('{"n":[1]}', '{"n":true}', '{"n":3.0}', "{}"):

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from parkbases import noncrossing
-from parkbases.bijection import initial_vector, reconstruct
+from parkbases import noncrossing, verify
+from parkbases.bijection import reconstruct
 from parkbases.noncrossing import (
     NCChain,
     NCPartition,
@@ -19,7 +19,7 @@ from parkbases.noncrossing import (
     singletons,
     stanley_labels,
 )
-from parkbases.parking import is_parking, parking_functions
+from parkbases.parking import parking_functions
 from parkbases.roots import Root, positive_roots
 
 from helpers import all_bases, basis_of_pairs, random_parking
@@ -134,22 +134,12 @@ def test_chain_merges_are_the_merge_of_each_step(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stanley_bijection(n):
-    labels = set()
-    for chain in maximal_chains(n):
-        lab = stanley_labels(chain)
-        labels.add(lab)
-        shifted = tuple(v + 1 for v in lab)
-        assert is_parking(shifted)
-    assert len(labels) == (n + 1) ** (n - 1)
-    assert {tuple(v + 1 for v in lab) for lab in labels} == set(parking_functions(n))
+    verify.check_chain_counts(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_composite_identity_and_round_trip(n):
-    for basis in all_bases(n):
-        chain = partition_chain(basis)
-        assert tuple(v + 1 for v in stanley_labels(chain)) == initial_vector(basis)
-        assert chain_to_basis(chain) == basis
+    verify.check_chain_identity(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

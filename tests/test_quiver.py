@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkbases import quiver
+from parkbases import quiver, verify
 from parkbases.bijection import initial_vector, reconstruct
-from parkbases.dbasis import is_basis, to_arcs
-from parkbases.parking import (
-    catalan,
-    is_parking,
-    nondecreasing_parking_functions,
-    parking_functions,
-)
+from parkbases.parking import is_parking
 from parkbases.quiver import (
     IntervalModule,
-    diagram_hom_ext,
     ext_dim,
     euler,
     filtration_level,
@@ -28,7 +21,7 @@ from parkbases.quiver import (
     is_nondecreasing_collection,
     modules_of,
 )
-from parkbases.roots import Root, positive_roots, seifert
+from parkbases.roots import Root, positive_roots
 
 from helpers import all_bases, basis_of_pairs, random_parking
 
@@ -45,8 +38,7 @@ def test_interval_module_materialisation():
 
 def test_euler_is_seifert():
     for n in range(1, 6):
-        for a, b in itertools.product(positive_roots(n), repeat=2):
-            assert euler(IntervalModule(a), IntervalModule(b)) == seifert(a, b)
+        verify.check_hom_oracle(n)
 
 
 def test_hom_examples():
@@ -70,18 +62,12 @@ def test_rank_mismatch():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hom_matches_oracle(n):
-    for a, b in itertools.product(positive_roots(n), repeat=2):
-        v, w = IntervalModule(a), IntervalModule(b)
-        assert hom_dim(v, w) == hom_dim_oracle(v, w)
-        assert euler(v, w) == hom_dim(v, w) - ext_dim(v, w)
+    verify.check_hom_oracle(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_conditional_ext_formula(n):
-    for a, b in itertools.product(positive_roots(n), repeat=2):
-        if seifert(b, a) == 0:
-            expected = 1 if a.hi + 1 == b.lo else 0
-            assert ext_dim(IntervalModule(a), IntervalModule(b)) == expected
+    verify.check_ext_formula(n)
 
 
 def test_exceptional_examples():
@@ -95,8 +81,7 @@ def test_exceptional_examples():
 
 @pytest.mark.parametrize("n", range(1, 4))
 def test_exceptional_equals_validate(n):
-    for tup in itertools.product(positive_roots(n), repeat=n):
-        assert is_exceptional_sequence(modules_of(tup)) == is_basis(tup, n)
+    verify.check_exceptional_matches_validate(n)
 
 
 def test_hom_ext_table_reconstructed_sequence():
@@ -169,9 +154,7 @@ def test_hom_ext_table_needs_no_per_cell_helpers(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_hom_ext_table_diagram_reading(n):
-    for basis in all_bases(n):
-        f = initial_vector(basis)
-        assert diagram_hom_ext(f) == hom_ext_table(modules_of(basis)), f
+    verify.check_hom_ext_table(n)
 
 
 def test_diagram_reading_has_indirect_ext_witness():
@@ -218,31 +201,7 @@ def test_nondecreasing_collection_examples():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_nondecreasing_families_coincide(n):
-    # order-free equivalence plus the set-level bijection with Catalan count
-    bases = (
-        all_bases(n)
-        if n <= 5
-        else tuple(reconstruct(f) for f in parking_functions(n))
-    )
-    nd_sets = set()
-    nomono_sets = set()
-    for basis in bases:
-        arcs = frozenset(to_arcs(basis).arcs)
-        levels = initial_vector(basis)
-        nomono = is_nondecreasing_collection(modules_of(basis))
-        distinct_right = len({right for _, right in arcs}) == n
-        assert nomono == distinct_right
-        if all(levels[i] <= levels[i + 1] for i in range(n - 1)):
-            assert nomono
-            nd_sets.add(arcs)
-        if nomono:
-            nomono_sets.add(arcs)
-    assert nd_sets == nomono_sets
-    assert len(nd_sets) == catalan(n)
-    image = {
-        frozenset(to_arcs(reconstruct(f)).arcs) for f in nondecreasing_parking_functions(n)
-    }
-    assert image == nd_sets
+    verify.check_nondecreasing_families(n)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

@@ -2,7 +2,31 @@ import threading
 
 import pytest
 
-from parkbases import dbasis, noncrossing, parking, quiver, verify
+from parkbases import braid, dbasis, noncrossing, parking, quiver, verify
+
+
+# The check names in `SUITES` order, as `verify N all` reports them and as the
+# verify-exhaustive benchmark workload lists them.
+CHECK_NAMES = [
+    "seifert_bilinear", "seifert_cases_exclusive", "cartan_symmetric", "counts",
+    "round_trips", "geometric_equals_algebraic", "permutation_shortcut", "gap_single_point",
+    "validate_accepts_enumeration", "braid_axioms", "diagram_mutation", "young_flips",
+    "hom_oracle", "ext_formula", "exceptional_equals_validate", "hom_ext_table_reading",
+    "nondecreasing_families", "chain_counts", "chain_identity",
+]
+
+
+def test_suites_list_the_checks_in_report_order():
+    assert [name for entries in verify.SUITES.values() for name, _ in entries] == CHECK_NAMES
+    report = verify.run_suite(2, "all")
+    assert report["ok"] and [check["name"] for check in report["checks"]] == CHECK_NAMES
+
+
+def test_braid_axioms_pin_the_orbit_length(monkeypatch):
+    # alpha_k^6 is the identity on 2- and 3-orbits alike, so only the shorter powers expose it.
+    monkeypatch.setattr(braid, "generator_order", lambda basis, k: 6)
+    entry = next(c for c in verify.run_suite(3, "braid")["checks"] if c["name"] == "braid_axioms")
+    assert entry["ok"] is False and entry["counterexample"]["order"] == 6
 
 
 def test_nested_run_keeps_the_outer_fault(monkeypatch):
