@@ -10,7 +10,8 @@ bijection onto the parking functions, inverted here three ways:
 - `reconstruct_geometric` shoots a slope-1 ray north-east from each SE corner
   P_k of the staircase diagram; the ray passes through corners of smaller
   labels and stops at the first corner with a larger label, at the boundary
-  path, or at the x-axis.  The stopping x-coordinate is the right endpoint.
+  path (read off the row lengths: x <= lengths[q] in row q), or at the x-axis.
+  The stopping x-coordinate is the right endpoint.
 - `reconstruct_permutation` is the shortcut available when the input is a
   permutation: the right endpoint is the largest j with [f(k), j] contained in
   the first k values.
@@ -76,28 +77,21 @@ def reconstruct(f: Sequence[int]) -> Basis:
 def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
     """The stopping x-coordinate of the NE ray from each corner P_k.
 
-    Entry k-1 belongs to label k.  The ray from P_k advances in unit diagonal
-    steps; at each lattice point it stops on a corner P_l with l > k, passes
-    through corners with l < k, and otherwise stops on the boundary path or the
-    x-axis.  The corners themselves sit on the boundary path; `verify` checks
-    this on every diagram of PF_n.
+    Entry k-1 belongs to label k.  The ray from P_k climbs one row q and one
+    column x per step and reads the boundary off the row lengths: it passes
+    the corner of row q (x == lengths[q]) when labels[q] < k, and otherwise
+    stops at the first x <= lengths[q] (a corner with a larger label, or the
+    boundary path) or at the x-axis (q == n).  `verify` checks on every
+    diagram of PF_n that the corners sit on the boundary path.
     """
     n = diagram.n
-    corners = diagram.corners()
-    boundary = diagram.boundary_points()
+    labels, lengths = diagram.labels, diagram.lengths
     stops = [0] * n
-    for (x0, y0), k in corners.items():
-        x, y = x0, y0
-        while True:
+    for p, k in enumerate(labels):
+        x, q = lengths[p] + 1, p + 1
+        while q < n and (x > lengths[q] or (x == lengths[q] and labels[q] < k)):
             x += 1
-            y += 1
-            label = corners.get((x, y))
-            if label is not None:
-                if label > k:
-                    break
-                continue
-            if (x, y) in boundary or y == 0:
-                break
+            q += 1
         assert x <= n
         stops[k - 1] = x
     return tuple(stops)

@@ -18,7 +18,7 @@ import dataclasses
 from typing import Iterator, Literal, Sequence
 
 from .bijection import initial_vector, ray_stops, reconstruct
-from .parking import ParkingDiagram, from_diagram, parking_functions, staircase_boundary, to_diagram
+from .parking import ParkingDiagram, from_diagram, parking_functions, to_diagram
 from .roots import Basis, Root, seifert
 
 Direction = Literal["left", "right"]
@@ -37,22 +37,20 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def _combine(a: Root, s: int, b: Root) -> Root:
-    """The positive version of a - s*b, a signed root whenever the mutation rules apply."""
+    """The positive version of a - s*b, a signed root whenever the mutation rules apply.
+
+    With the root [lo, hi] read as the arc x_hi - x_{lo-1}, a - s*b is a signed
+    root iff its four signed endpoints leave weights +1 and -1 on two points i < j.
+    """
     if s == 0:
         return a
-    n = a.rank
-    coeffs = [0] * (n + 2)
-    for i in a.support():
-        coeffs[i] += 1
-    for i in b.support():
-        coeffs[i] -= s
-    signs = {c for c in coeffs[1 : n + 1] if c != 0}
-    if signs not in ({1}, {-1}):
+    weights: dict[int, int] = {}
+    for point, weight in ((a.hi, 1), (a.lo - 1, -1), (b.hi, -s), (b.lo - 1, s)):
+        weights[point] = weights.get(point, 0) + weight
+    ends = {point: weight for point, weight in weights.items() if weight}
+    if sorted(ends.values()) != [-1, 1]:
         raise RuntimeError(f"{a} - {s}*{b} is not a signed root")
-    points = [i for i in range(1, n + 1) if coeffs[i] != 0]
-    if points[-1] - points[0] + 1 != len(points):
-        raise RuntimeError(f"{a} - {s}*{b} has disconnected support")
-    return Root(points[0], points[-1], n)
+    return Root(min(ends) + 1, max(ends), a.rank)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -228,7 +226,8 @@ def flip_row(young: Sequence[int], k: int) -> Young:
     south-west when row k is strictly longer than row k+1, north-east when
     their lengths are equal.  The walk stops at the first lattice point on the
     diagram boundary or on a coordinate axis; its x-coordinate is the new row
-    length, and the resized row is re-inserted in sorted position.
+    length, and the resized row is re-inserted in sorted position.  At height
+    -d the boundary runs from x = mu_{d+1} to x = mu_d, with mu_{n+1} = 0.
 
     Row n is degenerate (its walk runs along the staircase hypotenuse) and
     flips to the diagram itself.
@@ -239,13 +238,13 @@ def flip_row(young: Sequence[int], k: int) -> Young:
         raise ValueError(f"row index {k} out of range 1..{n}")
     if k == n:
         return mu
-    boundary = staircase_boundary(mu[::-1])
+    row = mu + (0,)  # row[d] is mu_{d+1}
     step = -1 if mu[k - 1] > mu[k] else 1
-    x, y = mu[k - 1], -k
+    x, d = mu[k - 1], k
     while True:
         x += step
-        y += step
-        if (x, y) in boundary or x == 0 or y == 0:
+        d -= step
+        if x == 0 or d == 0 or row[d] <= x <= row[d - 1]:
             break
     rows = sorted(mu[: k - 1] + mu[k:] + (x,), reverse=True)
     return validate_young(rows, n)

@@ -259,6 +259,6 @@ def nondecreasing_representative(roots: Sequence[Root]) -> Basis:
     whose sequence of left endpoints is non-decreasing.
     """
     rep = tuple(sorted(roots, key=lambda r: (r.lo, -r.hi)))
-    if any(rep[i].hi == rep[j].hi for i in range(len(rep)) for j in range(i + 1, len(rep))):
+    if len({r.hi for r in rep}) != len(rep):
         raise ValueError("roots must have pairwise distinct right ends")
     return rep

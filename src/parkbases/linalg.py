@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals, kept as a test oracle.
 
-Only `quiver.hom_dim_oracle` and the tests use it, to re-derive by elimination
-what the library computes in closed form or on the arc forest.  Matrices are
-tiny, so Gaussian elimination over Fractions is adequate and exact.
+Only the Hom and Ext^1 oracles (`quiver.hom_dim_oracle`, `verify`) and the
+tests use it, to re-derive by elimination what the library computes in closed
+form or on the arc forest.  Matrices are tiny, so Gaussian elimination over
+Fractions is adequate and exact.
 """
 from __future__ import annotations
 

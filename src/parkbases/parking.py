@@ -101,25 +101,20 @@ class ParkingDiagram:
         return {(self.lengths[p], p - n): self.labels[p] for p in range(n)}
 
     def boundary_points(self) -> set[tuple[int, int]]:
-        """All lattice points of the boundary path from (0, -n) to (n, 0)."""
-        return staircase_boundary(self.lengths)
-
-
-def staircase_boundary(lengths: Sequence[int]) -> set[tuple[int, int]]:
-    """The boundary path points of the staircase diagram with these bottom-up row lengths."""
-    n = len(lengths)
-    points = {(0, -n)}
-    x = 0
-    for p in range(n):
-        y = p - n
-        while x < lengths[p]:
+        """The lattice points of the boundary path from (0, -n) to (n, 0), a `verify` oracle."""
+        n = self.n
+        points = {(0, -n)}
+        x = 0
+        for p in range(n):
+            y = p - n
+            while x < self.lengths[p]:
+                x += 1
+                points.add((x, y))
+            points.add((x, y + 1))
+        while x < n:
             x += 1
-            points.add((x, y))
-        points.add((x, y + 1))
-    while x < n:
-        x += 1
-        points.add((x, 0))
-    return points
+            points.add((x, 0))
+        return points
 
 
 def to_diagram(values: Sequence[int]) -> ParkingDiagram:

@@ -12,7 +12,8 @@ Hom dimensions are computed two ways: a closed form (hom_dim) and an exact
 intertwiner solve over the rationals (hom_dim_oracle).  The closed form is
 adopted because it provably matches the oracle on every pair; the test suite
 re-checks this exhaustively.  Ext^1 is hom - euler, valid because higher Ext
-groups vanish for quiver representations.
+groups vanish for quiver representations; `verify` checks it against the
+cokernel of the same intertwiner map.
 
 `hom_ext_table` fills both matrices of any same-rank sequence from the closed
 interval rules in one pass.  `diagram_hom_ext` reads the same matrices of a
@@ -83,32 +84,26 @@ def ext_dim(v: IntervalModule, w: IntervalModule) -> int:
     return value
 
 
-def hom_dim_oracle(v: IntervalModule, w: IntervalModule) -> int:
-    """dim Hom(v, w) by solving the intertwiner equations exactly.
+def _intertwiner(v: IntervalModule, w: IntervalModule) -> tuple[list[list[int]], int]:
+    """The intertwiner map (phi_i) -> (w_i phi_i - phi_{i+1} v_i) and its number of unknowns.
 
-    Unknowns are the vertex maps phi_i (scalars where both spaces are nonzero);
-    each arrow i -> i+1 contributes the equation w_i * phi_i = phi_{i+1} * v_i
-    whenever the equation lands in a nonzero space.
+    Unknowns are the scalars phi_i where V_i and W_i are nonzero; each arrow
+    i -> i+1 with V_i and W_{i+1} nonzero gives one row, zero rows included.
     """
     _check(v, w)
-    n = v.rank
     vdims, wdims = v.space_dims(), w.space_dims()
-    var_index: dict[int, int] = {}
-    for i in range(1, n + 1):
-        if vdims[i - 1] and wdims[i - 1]:
-            var_index[i] = len(var_index)
-    nvars = len(var_index)
-    rows: list[list[int]] = []
-    for i in range(1, n):
-        if not (vdims[i - 1] and wdims[i]):
-            continue  # the equation lives in Hom(V_i, W_{i+1}) = 0 otherwise
-        row = [0] * nvars
-        if w.arrow(i) and i in var_index:
-            row[var_index[i]] += w.arrow(i)
-        if v.arrow(i) and i + 1 in var_index:
-            row[var_index[i + 1]] -= v.arrow(i)
-        if any(row):
-            rows.append(row)
+    unknowns = [i for i in range(1, v.rank + 1) if vdims[i - 1] and wdims[i - 1]]
+    rows = [
+        [w.arrow(i) if j == i else -v.arrow(i) if j == i + 1 else 0 for j in unknowns]
+        for i in range(1, v.rank)
+        if vdims[i - 1] and wdims[i]
+    ]
+    return rows, len(unknowns)
+
+
+def hom_dim_oracle(v: IntervalModule, w: IntervalModule) -> int:
+    """dim Hom(v, w) by solving the intertwiner equations exactly (the kernel of the map)."""
+    rows, nvars = _intertwiner(v, w)
     return linalg.nullity(rows, nvars)
 
 

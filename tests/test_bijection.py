@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from parkbases.bijection import (
 )
 from parkbases.roots import Root, simple_roots
 
-from helpers import all_pfs, basis_of_pairs
+from helpers import all_pfs, basis_of_pairs, random_parking
 
 N12_F = (3, 11, 7, 5, 9, 8, 5, 2, 1, 10, 2, 12)
 N12_PAIRS = [
@@ -45,6 +47,15 @@ def test_identity_permutation_gives_simple_roots():
     n = 5
     assert reconstruct_geometric(tuple(range(1, n + 1))) == simple_roots(n)
     assert reconstruct(tuple(range(1, n + 1))) == simple_roots(n)
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_geometric_equals_algebraic_on_long_rays(n):
+    # Long rays cross many rows; extremes plus uniform draws.
+    rng = random.Random(n)
+    extremes = [(1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+    for f in extremes + [random_parking(rng, n) for _ in range(10)]:
+        assert reconstruct_geometric(f) == reconstruct(f)
 
 
 def test_reconstruct_rejects_non_parking():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from parkbases import verify
 from parkbases.bijection import reconstruct
 from parkbases.braid import (
+    _combine,
     apply_word,
     apply_word_parking,
     arc_mutation_target,
@@ -140,6 +141,34 @@ def test_arc_mutation_endpoint_rules(n):
                 assert c.lo == b.lo
             else:
                 assert a.hi + 1 == b.lo and c.lo == a.lo
+
+
+def _combine_by_coefficients(a, s, b):
+    """a - s*b on the simple-root coefficient vector: a signed root is ±1 on one interval."""
+    n = a.rank
+    coeffs = [0] * (n + 2)
+    for i in a.support():
+        coeffs[i] += 1
+    for i in b.support():
+        coeffs[i] -= s
+    points = [i for i in range(1, n + 1) if coeffs[i]]
+    if {coeffs[i] for i in points} not in ({1}, {-1}) or points[-1] - points[0] + 1 != len(points):
+        return None
+    return Root(points[0], points[-1], n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_combine_matches_coefficient_vector(n):
+    # Every (a, s, b): the endpoint reading agrees on the value and on when it raises.
+    for a in positive_roots(n):
+        for b in positive_roots(n):
+            for s in (-1, 0, 1):
+                expected = _combine_by_coefficients(a, s, b)
+                if expected is None:
+                    with pytest.raises(RuntimeError, match="is not a signed root"):
+                        _combine(a, s, b)
+                else:
+                    assert _combine(a, s, b) == expected
 
 
 def test_generator_order_values():

@@ -36,11 +36,6 @@ def test_interval_module_materialisation():
     assert [v.arrow(i) for i in range(1, 4)] == [0, 1, 0]
 
 
-def test_euler_is_seifert():
-    for n in range(1, 6):
-        verify.check_hom_oracle(n)
-
-
 def test_hom_examples():
     assert hom_dim(mod(2, 2, 2), mod(1, 2, 2)) == 1  # submodule, shared right end
     assert hom_dim(mod(1, 2, 2), mod(2, 2, 2)) == 0
@@ -77,11 +72,6 @@ def test_exceptional_examples():
         modules_of((Root(2, 2, 2), Root(1, 1, 2)))
     )  # ext from later to earlier... hom/ext pair fails via seifert
     assert not is_exceptional_sequence(modules_of(basis_of_pairs([(1, 1), (1, 2)], 2)))
-
-
-@pytest.mark.parametrize("n", range(1, 4))
-def test_exceptional_equals_validate(n):
-    verify.check_exceptional_matches_validate(n)
 
 
 def test_hom_ext_table_reconstructed_sequence():

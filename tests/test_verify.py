@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from parkbases import braid, dbasis, noncrossing, parking, quiver, verify
+from parkbases import braid, dbasis, noncrossing, parking, quiver, roots, verify
 
 
 # The check names in `SUITES` order, as `verify N all` reports them and as the
@@ -88,6 +88,15 @@ def test_geometric_checks_corners_on_boundary(monkeypatch):
     report = verify.run_suite(2, "bijection")
     entry = next(c for c in report["checks"] if c["name"] == "geometric_equals_algebraic")
     assert entry["ok"] is False and entry["counterexample"]["corners_off_boundary"]
+
+
+def test_hom_oracle_checks_ext_and_euler_independently(monkeypatch):
+    # A wrong Seifert form everywhere keeps Ext = Hom - Euler >= 0 consistent, so
+    # only the cokernel of the intertwiner map exposes it.
+    monkeypatch.setattr(roots, "seifert", lambda a, b: 0)
+    monkeypatch.setattr(quiver, "seifert", lambda a, b: 0)
+    entry = next(c for c in verify.run_suite(2, "quiver")["checks"] if c["name"] == "hom_oracle")
+    assert entry["ok"] is False and entry["counterexample"] == {"a": (1, 1), "b": (1, 1)}
 
 
 def _hom_ext_entry(n):
