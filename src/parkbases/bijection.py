@@ -81,8 +81,8 @@ def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
     column x per step and reads the boundary off the row lengths: it passes
     the corner of row q (x == lengths[q]) when labels[q] < k, and otherwise
     stops at the first x <= lengths[q] (a corner with a larger label, or the
-    boundary path) or at the x-axis (q == n).  `verify` checks on every
-    diagram of PF_n that the corners sit on the boundary path.
+    boundary path) or at the x-axis (q == n).  Every corner lies on that path,
+    which passes (lengths[p], p - n) in each row.
     """
     n = diagram.n
     labels, lengths = diagram.labels, diagram.lengths

@@ -20,6 +20,10 @@ Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
 partial-sum coordinates, so roots are independent exactly when their arcs form
 a forest.  `validate_basis` checks length, rank, "dependent" (this test) and
 "seifert"; arc codes come only from `from_arcs`.
+
+Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
+the arcs among the points outside it, points[:i] + points[j:], and among the
+points inside it, points[i:j] (`_split`, also read by `right_orthogonal_basis`).
 """
 from __future__ import annotations
 
@@ -158,6 +162,8 @@ def from_arcs(diagram: ArcDiagram) -> Basis:
 
 def span(basis: Sequence[Root], i: int) -> set[int]:
     """The union of supports of basis roots strictly inside a_i (i is 1-based)."""
+    if not 1 <= i <= len(basis):
+        raise ValueError(f"position {i} outside 1..{len(basis)}")
     a = basis[i - 1]
     covered: set[int] = set()
     for other in basis:
@@ -172,11 +178,16 @@ def gap(basis: Sequence[Root], i: int) -> int:
     On a valid basis the uncovered set is a single point; anything else means
     the input was not a valid basis (or an internal bug) and raises.
     """
-    a = basis[i - 1]
-    holes = set(a.support()) - span(basis, i)
+    covered = span(basis, i)  # checks i first
+    holes = set(basis[i - 1].support()) - covered
     if len(holes) != 1:
         raise RuntimeError(f"gap of a_{i} is {sorted(holes)}, expected a single point")
     return holes.pop()
+
+
+def _split(points: tuple[int, ...], i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis points outside and inside the arc (points[i], points[j])."""
+    return points[:i] + points[j:], points[i:j]
 
 
 def right_orthogonal_basis(root: Root, n: int) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
@@ -195,56 +206,44 @@ def right_orthogonal_basis(root: Root, n: int) -> tuple[tuple[Root, ...], tuple[
     """
     if root.rank != n:
         raise ValueError(f"root rank {root.rank} != {n}")
-    k, m = root.lo, root.hi
-    first: list[Root] = [Root(i, i, n) for i in range(1, k - 1)]
-    if k >= 2:
-        first.append(Root(k - 1, m, n))
-    first.extend(Root(i, i, n) for i in range(m + 1, n + 1))
-    second = tuple(Root(i, i, n) for i in range(k, m))
-    return tuple(first), second
+    split = _split(tuple(range(n + 1)), root.lo - 1, root.hi)
+    first, second = (tuple(Root(a + 1, b, n) for a, b in zip(p, p[1:])) for p in split)
+    return first, second
 
 
-def _chain_bases(chain: tuple[Root, ...]) -> Iterator[Basis]:
-    """All bases of the sublattice generated by a chain of adjacent generators.
+def _point_bases(points: tuple[int, ...], n: int) -> Iterator[Basis]:
+    """All bases whose roots are the arcs between the axis points p_0 < ... < p_t.
 
-    The chain plays the role of the simple roots of a smaller system of the
-    same kind; its roots are the consecutive sums chain[i] + ... + chain[j],
-    which are genuine ambient roots because the chain generators tile a single
-    interval.  Recursion: pick the first root, split the rest into the two
-    orthogonal chains, enumerate each and interleave order-preservingly.
+    Pick the head arc (p_i, p_j), enumerate the points outside and inside it
+    (`_split`), and interleave the two bases order-preservingly.
     """
-    t = len(chain)
+    t = len(points) - 1
     if t == 0:
         yield ()
         return
-    n = chain[0].rank
     for i in range(t):
-        for j in range(i, t):
-            head = Root(chain[i].lo, chain[j].hi, n)
-            first: tuple[Root, ...] = chain[: max(i - 1, 0)]
-            if i >= 1:
-                first += (Root(chain[i - 1].lo, chain[j].hi, n),)
-            first += chain[j + 1 :]
-            second = chain[i:j]
-            for sub1 in _chain_bases(first):
-                for sub2 in _chain_bases(second):
-                    for spots in itertools.combinations(range(t - 1), len(sub1)):
-                        merged: list[Root] = []
+        for j in range(i + 1, t + 1):
+            head = Root(points[i] + 1, points[j], n)
+            outside, inside = _split(points, i, j)
+            spots = itertools.combinations(range(t - 1), len(outside) - 1)
+            patterns = [tuple(pos in taken for pos in range(t - 1)) for taken in spots]
+            for sub1 in _point_bases(outside, n):
+                for sub2 in _point_bases(inside, n):
+                    for pattern in patterns:
                         it1, it2 = iter(sub1), iter(sub2)
-                        taken = set(spots)
-                        for pos in range(t - 1):
-                            merged.append(next(it1) if pos in taken else next(it2))
-                        yield (head, *merged)
+                        yield (head, *[next(it1) if take else next(it2) for take in pattern])
 
 
 def distinguished_bases(n: int) -> Iterator[Basis]:
     """All bases of positive roots with upper-triangular Seifert matrix, rank n.
 
-    Every basis is produced exactly once; there are (n+1)^(n-1) of them.
+    Every basis is produced exactly once; there are (n+1)^(n-1) of them.  The
+    first root is an arc (i, j) of the axis {0, ..., n}; the rest enumerate the
+    points outside it and the points inside it the same way.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    yield from _chain_bases(tuple(Root(i, i, n) for i in range(1, n + 1)))
+    yield from _point_bases(tuple(range(n + 1)), n)
 
 
 def basis_count(n: int) -> int:

@@ -95,27 +95,6 @@ class ParkingDiagram:
         p = self.labels.index(k)
         return (self.lengths[p], p - self.n)
 
-    def corners(self) -> dict[tuple[int, int], int]:
-        """Map from SE corner points to their labels."""
-        n = self.n
-        return {(self.lengths[p], p - n): self.labels[p] for p in range(n)}
-
-    def boundary_points(self) -> set[tuple[int, int]]:
-        """The lattice points of the boundary path from (0, -n) to (n, 0), a `verify` oracle."""
-        n = self.n
-        points = {(0, -n)}
-        x = 0
-        for p in range(n):
-            y = p - n
-            while x < self.lengths[p]:
-                x += 1
-                points.add((x, y))
-            points.add((x, y + 1))
-        while x < n:
-            x += 1
-            points.add((x, 0))
-        return points
-
 
 def to_diagram(values: Sequence[int]) -> ParkingDiagram:
     """The staircase diagram of a parking function.

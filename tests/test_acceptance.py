@@ -78,7 +78,7 @@ def test_criterion_03_bijection_round_trips():
 def test_criterion_04_geometric_equivalence():
     for n in range(1, 8):
         verify.check_geometric(n)
-    report(4, "ray-shooting reconstruction equals the algebraic one, corners on the boundary, PF_n n<=7")
+    report(4, "ray-shooting reconstruction equals the algebraic one, PF_n n<=7")
 
 
 @criterion(5)

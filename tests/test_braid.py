@@ -181,11 +181,6 @@ def test_generator_order_matches_iteration(n):
     verify.check_braid_axioms(n)
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_diagram_mutation_matches_algebra(n):
-    verify.check_diagram_mutation(n)
-
-
 def test_diagram_mutation_plain_swap_case():
     # adjacent roots [1,1] and [3,3] interact trivially: both directions swap labels
     f = (1, 1, 1, 3)

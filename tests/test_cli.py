@@ -386,6 +386,8 @@ ENUMERATE_GOLDEN = [
     (["enumerate", "4", "chains"], 16875, "ab0b3bd76bf0a715799b1fe0b904aceeb9bd490f98e3ac359c240c5aa7374832"),
     (["enumerate", "6", "nondecreasing"], 4488,
      "de046f594b21cb397a0da8abe4122b57ead25a198105a4496b6194dca38ea695"),
+    (["enumerate", "6", "bases"], 1142876,
+     "fd90d9d947d6944e7d919d1ada6edaab0906835484aad877b37c4939efbedcb6"),
 ]
 
 

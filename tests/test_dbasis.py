@@ -106,6 +106,14 @@ def test_gap_of_reconstructed_basis():
     assert gap(basis, 2) == 3
 
 
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_span_and_gap_reject_positions_outside_the_basis(i):
+    basis = reconstruct((2, 2, 1))
+    for fn in (span, gap):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            fn(basis, i)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gap_is_single_point_exhaustive(n):
     bases = all_bases(n) if n <= 5 else map(reconstruct, all_pfs(n))

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from parkbases import braid, dbasis, noncrossing, parking, quiver, roots, verify
+from parkbases import braid, dbasis, noncrossing, quiver, roots, verify
 
 
 # The check names in `SUITES` order, as `verify N all` reports them and as the
@@ -83,11 +83,12 @@ def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
     assert entry["ok"] is False and "arc_rules" in entry["counterexample"]
 
 
-def test_geometric_checks_corners_on_boundary(monkeypatch):
-    monkeypatch.setattr(parking.ParkingDiagram, "boundary_points", lambda self: set())
-    report = verify.run_suite(2, "bijection")
-    entry = next(c for c in report["checks"] if c["name"] == "geometric_equals_algebraic")
-    assert entry["ok"] is False and entry["counterexample"]["corners_off_boundary"]
+def test_cartan_check_reads_the_cartan_matrix(monkeypatch):
+    # cartan is a symmetrised Seifert form, so only an independent expansion exposes a wrong one.
+    monkeypatch.setattr(roots, "cartan", lambda a, b: 2 if a == b else 0)
+    report = verify.run_suite(3, "bijection")
+    entry = next(c for c in report["checks"] if c["name"] == "cartan_symmetric")
+    assert entry["ok"] is False and entry["counterexample"] == {"a": (1, 1), "b": (1, 2)}
 
 
 def test_hom_oracle_checks_ext_and_euler_independently(monkeypatch):
