@@ -18,7 +18,9 @@ import dataclasses
 from typing import Iterator, Literal, Sequence
 
 from .bijection import initial_vector, ray_stops, reconstruct
-from .parking import ParkingDiagram, from_diagram, parking_functions, to_diagram
+from .parking import (
+    ParkingDiagram, from_diagram, nondecreasing_parking_functions, parking_functions, to_diagram,
+)
 from .roots import Basis, Root, seifert
 
 Direction = Literal["left", "right"]
@@ -251,14 +253,11 @@ def flip_row(young: Sequence[int], k: int) -> Young:
 
 
 def young_diagrams(n: int) -> Iterator[Young]:
-    """All staircase Young diagrams with n rows (counted by Catalan numbers)."""
+    """All staircase Young diagrams with n rows (counted by Catalan numbers).
 
-    def rec(d: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if d > n:
-            yield ()
-            return
-        for length in range(min(prev, n - d), -1, -1):
-            for rest in rec(d + 1, length):
-                yield (length, *rest)
-
-    yield from rec(1, n)
+    Each is read off a non-decreasing parking function f, whose top-down rows are
+    v - 1 for v in reversed f (`young_of_diagram`), so the diagrams come in the
+    lexicographic order of `nondecreasing_parking_functions`.
+    """
+    for f in nondecreasing_parking_functions(n):
+        yield tuple(v - 1 for v in reversed(f))

@@ -151,16 +151,18 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": list(f), "verified": verified})
 
 
-# kind: (default limit, closed-form count or None, enumerator, JSON fields of one item).
+# kind: (default limit, closed-form count, enumerator, JSON fields of one item).
 # The lambdas look the enumerators up when called, so a rebinding of this
 # module's names (bench/spans.py traces that way) reaches them.
 _ENUMERATE = {
     "pf": (8, lambda n: basis_count(n), lambda n: parking_functions(n), lambda f: {"f": list(f)}),
-    "bases": (8, None, lambda n: distinguished_bases(n), lambda b: {"basis": _pairs(b)}),
+    "bases": (8, lambda n: basis_count(n), lambda n: distinguished_bases(n), lambda b: {"basis": _pairs(b)}),
     "nondecreasing": (
         12, lambda n: catalan(n), lambda n: nondecreasing_parking_functions(n), lambda f: {"f": list(f)},
     ),
-    "chains": (8, None, lambda n: noncrossing.maximal_chains(n), lambda c: {"chain": _blocks(c)}),
+    "chains": (
+        8, lambda n: basis_count(n), lambda n: noncrossing.maximal_chains(n), lambda c: {"chain": _blocks(c)},
+    ),
 }
 
 
@@ -171,10 +173,12 @@ def cmd_enumerate(args) -> None:
         raise CliError("E_PARSE", "n must be >= 1")
     n = args.n
     if args.count:
-        total = count(n) if count else sum(1 for _ in items(n))
-        _emit(args, {"n": n, "kind": args.kind, "count": total})
-    else:
+        _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
+        return
+    try:  # the bases and chains enumerators recurse to depth n before their first item
         _emit(args, (json.dumps({"n": n, **fields(x)}, sort_keys=True) + "\n" for x in items(n)))
+    except RecursionError as exc:
+        raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
 
 
 def cmd_braid(args) -> None:
@@ -268,7 +272,10 @@ def cmd_verify(args) -> None:
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
     _check_limit(args, args.suite, _VERIFY_LIMITS[args.suite])
-    report = verify.run_suite(args.n, args.suite, inject_fault=args.inject_fault)
+    try:
+        report = verify.run_suite(args.n, args.suite, inject_fault=args.inject_fault)
+    except ValueError as exc:  # a suite the injected fault does not reach
+        raise CliError("E_PARSE", str(exc)) from exc
     _emit(args, report)
     if not report["ok"]:
         sys.exit(1)
@@ -333,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-checking suites")
     p.add_argument("n", type=int)
     p.add_argument("suite", nargs="?", default="all", choices=["all", *verify.SUITES])
-    p.add_argument("--inject-fault", action="store_true", help="self-test: must fail")
+    p.add_argument(
+        "--inject-fault", action="store_true", help="self-test, must fail; suites all, bijection, quiver"
+    )
     p.add_argument("--limit", type=int, help="raise the size limit")
     io_flags(p)
     p.set_defaults(fn=cmd_verify)

@@ -178,60 +178,46 @@ def from_dyck(path: DyckPath) -> tuple[int, ...]:
 def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All parking functions on n cars, in lexicographic order.
 
-    There are (n+1)^(n-1) of them.
+    There are (n+1)^(n-1) of them.  An odometer: each step raises the rightmost
+    entry that can still grow by one and resets the tail to 1s.  With a tail of
+    1s, raising f[i] from v to v + 1 lowers only the count of values <= v, so
+    that one count decides the step; it fails for every v >= n.
 
     >>> list(parking_functions(2))
     [(1, 1), (1, 2), (2, 1)]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    prefix = [0] * n
-    counts = [0] * (n + 2)
-
-    def feasible(pos: int) -> bool:
-        # A prefix extends to a parking function iff even after granting all
-        # remaining positions the smallest possible values, no threshold fails.
-        remaining = n - pos
-        seen = 0
-        for k in range(1, n + 1):
-            seen += counts[k]
-            if seen + remaining < k:
-                return False
-        return True
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(prefix)
+    f = [1] * n
+    while True:
+        yield tuple(f)
+        i = n - 1
+        while i >= 0 and sum(x <= f[i] for x in f[:i]) + n - 1 - i < f[i]:
+            i -= 1
+        if i < 0:
             return
-        for v in range(1, n + 1):
-            prefix[pos] = v
-            counts[v] += 1
-            if feasible(pos + 1):
-                yield from rec(pos + 1)
-            counts[v] -= 1
-
-    yield from rec(0)
+        f[i] += 1
+        f[i + 1 :] = [1] * (n - 1 - i)
 
 
 def nondecreasing_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """The weakly increasing parking functions on n cars, lexicographically.
 
     These are counted by the Catalan numbers; a weakly increasing f is parking
-    exactly when f(k) <= k for every k.
+    exactly when f(k) <= k for every k.  An odometer: each step raises the
+    rightmost entry below its bound and sets the tail to the raised value.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    prefix = [0] * n
-
-    def rec(pos: int, low: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(prefix)
+    f = [1] * n
+    while True:
+        yield tuple(f)
+        i = n - 1
+        while i >= 0 and f[i] > i:  # f[i] is at its bound i + 1 (0-based)
+            i -= 1
+        if i < 0:
             return
-        for v in range(low, pos + 2):
-            prefix[pos] = v
-            yield from rec(pos + 1, v)
-
-    yield from rec(0, 1)
+        f[i:] = [f[i] + 1] * (n - i)
 
 
 def catalan(n: int) -> int:

@@ -6,10 +6,12 @@ machine-readable pass/fail entries.
 `run_suite(n, suite)` returns a dict report; `suite` is one of "all",
 "bijection", "braid", "quiver" or "noncrossing".  Failures carry a
 counterexample payload.  The harness can also be run with `inject_fault=True`,
-which flips one Seifert sign on the library side of the first comparison and
-must make the run fail; this is a self-test that the harness actually checks
-something.  The flag lives in a context variable set for the duration of one
-`run_suite` call, so runs nest and run in parallel threads without mixing.
+which flips seifert(e_1, e_1) on the library side of `seifert_bilinear` and
+`hom_oracle`: "all", "bijection" and "quiver" then fail at every n, and the
+other suites, which read no flipped value, are rejected with ValueError.  This
+self-tests that the harness checks something.  The flag lives in a context
+variable set for the duration of one `run_suite` call, so runs nest and run in
+parallel threads without mixing.
 """
 from __future__ import annotations
 
@@ -41,11 +43,12 @@ def bilinear_seifert(a: roots.Root, b: roots.Root) -> int:
 
 
 _FAULTY: contextvars.ContextVar[bool] = contextvars.ContextVar("faulty", default=False)
+_FAULT_SUITES = ("all", "bijection", "quiver")  # the suites that read `_seifert`
 
 
 def _seifert(a: roots.Root, b: roots.Root) -> int:
     value = roots.seifert(a, b)
-    if _FAULTY.get() and (a.lo, a.hi, b.lo, b.hi) == (1, 1, 2, 2):
+    if _FAULTY.get() and (a.lo, a.hi, b.lo, b.hi) == (1, 1, 1, 1):
         return -value
     return value
 
@@ -58,11 +61,11 @@ def check_seifert_bilinear(n: int) -> None:
 
 
 def check_seifert_cases_exclusive(n: int) -> None:
+    # The two cases of the Seifert table: Hom and Ext^1 are never both nonzero.
     for a in roots.positive_roots(n):
         for b in roots.positive_roots(n):
-            case1 = b.lo <= a.lo <= b.hi <= a.hi
-            case2 = a.lo <= b.lo - 1 <= a.hi < b.hi
-            if case1 and case2:
+            v, w = quiver.IntervalModule(a), quiver.IntervalModule(b)
+            if quiver.hom_dim(v, w) and quiver.ext_dim(v, w):
                 raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
 
 
@@ -324,6 +327,8 @@ def run_suite(n: int, suite: str = "all", inject_fault: bool = False) -> dict:
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if inject_fault and suite not in _FAULT_SUITES:
+        raise ValueError(f"the injected fault reaches only the suites {_FAULT_SUITES}, not {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
     checks = [item for name in names for item in SUITES[name]]
     results = []

@@ -55,6 +55,11 @@ def test_mutate_k_out_of_range():
         mutate(simple_roots(3), 0, "right")
 
 
+def test_mutate_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="^direction must be 'left' or 'right', got 'up'$"):
+        mutate(simple_roots(3), 1, "up")
+
+
 def test_mutate_parking_examples():
     assert mutate_parking((1, 2, 1), 1, "left") == (2, 1, 1)
     assert mutate_parking((1, 2, 1), 2, "left") == (1, 1, 1)

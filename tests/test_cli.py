@@ -93,6 +93,29 @@ def test_enumerate_counts(args, expected, monkeypatch, capsys):
     assert json.loads(out)["count"] == expected
 
 
+@pytest.mark.parametrize("kind", ["bases", "chains"])
+def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
+    def enumerate_(n):
+        raise AssertionError("--count enumerated")
+
+    monkeypatch.setattr("parkbases.cli.distinguished_bases", enumerate_)
+    monkeypatch.setattr("parkbases.noncrossing.maximal_chains", enumerate_)
+    code, out, _ = run_cli(["enumerate", "8", kind, "--count"], "", monkeypatch, capsys)
+    assert code == 0 and json.loads(out) == {"count": 9 ** 7, "kind": kind, "n": 8}
+
+
+@pytest.mark.parametrize("kind", ["bases", "chains"])
+def test_enumerate_past_the_recursion_depth_is_one_error_line(kind, monkeypatch, capsys):
+    # Both build their first item at full depth, so nothing is written before the error.
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)  # reaches the depth at n = 600 instead of n ~ 1000, and cheaply
+    try:
+        code, out, err = run_cli(["enumerate", "600", kind, "--limit", "600"], "", monkeypatch, capsys)
+    finally:
+        sys.setrecursionlimit(depth)
+    assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
+
+
 def test_enumerate_limit_mentions_flag(monkeypatch, capsys):
     code, _, err = run_cli(["enumerate", "9", "pf", "--count"], "", monkeypatch, capsys)
     assert code == 1
@@ -217,6 +240,12 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert report["ok"] is False
     failing = [check["name"] for check in report["checks"] if not check["ok"]]
     assert "seifert_bilinear" in failing
+
+
+def test_verify_fault_in_an_unreached_suite_is_one_parse_error(monkeypatch, capsys):
+    code, out, err = run_cli(["verify", "2", "braid", "--inject-fault"], "", monkeypatch, capsys)
+    message = "the injected fault reaches only the suites ('all', 'bijection', 'quiver'), not 'braid'"
+    assert (code, out, err) == (1, "", f"E_PARSE: {message}\n")
 
 
 def test_verify_limit(monkeypatch, capsys):

@@ -53,6 +53,18 @@ def test_validate_priority_length_first():
     assert err.value.code == "length"
 
 
+def test_validate_rejects_a_root_of_another_rank():
+    with pytest.raises(BasisError, match=r"^root e\[1,1\] has rank 3, expected 2$") as err:
+        validate_basis((Root(1, 1, 2), Root(1, 1, 3)), 2)
+    assert err.value.code == "rank"
+
+
+def test_from_arcs_rejects_a_wrong_number_of_arcs():
+    with pytest.raises(BasisError, match="^expected 3 arcs, got 2$") as err:
+        from_arcs(ArcDiagram(((0, 1), (1, 2)), 3))
+    assert err.value.code == "length"
+
+
 def test_validate_dependent():
     with pytest.raises(BasisError) as err:
         validate_basis((Root(1, 1, 2), Root(1, 1, 2)))

@@ -82,6 +82,11 @@ def test_chain_validation():
             NCChain(merges).partitions
 
 
+def test_partition_chain_rejects_too_few_roots():
+    with pytest.raises(ValueError, match=f"^{re.escape('a maximal chain on {0..3} has 4 partitions')}$"):
+        partition_chain((Root(1, 1, 3), Root(2, 2, 3)))
+
+
 def test_chains_and_bases_need_no_trial_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("no partition is built on this path")

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases.braid import young_diagrams
 from parkbases.parking import (
     DyckPath,
     ParkingDiagram,
@@ -43,6 +46,20 @@ def test_parking_lex_order():
     assert pfs[-1] == (3, 2, 1)
     assert len(pfs) == 16
     assert list(parking_functions(2)) == [(1, 1), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parking_functions_are_the_sorted_parking_filter(n):
+    product = itertools.product(range(1, n + 1), repeat=n)
+    assert list(parking_functions(n)) == sorted(filter(is_parking, product))
+
+
+@pytest.mark.parametrize(
+    "enumerate_,first",
+    [(parking_functions, 1), (nondecreasing_parking_functions, 1), (young_diagrams, 0)],
+)
+def test_enumerators_reach_any_size_without_recursion(enumerate_, first):
+    assert next(enumerate_(3000)) == (first,) * 3000
 
 
 @pytest.mark.parametrize("n", range(1, 11))

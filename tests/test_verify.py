@@ -44,6 +44,16 @@ def test_nested_run_keeps_the_outer_fault(monkeypatch):
     assert verify.run_suite(3, "bijection")["ok"] is True  # the flag is clear again
 
 
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("suite", ["all", *verify.SUITES])
+def test_injected_fault_fails_every_suite_it_reaches(n, suite):
+    if suite in ("braid", "noncrossing"):  # no check of theirs reads a Seifert value through _seifert
+        with pytest.raises(ValueError, match=f"^the injected fault reaches only the suites .*'{suite}'$"):
+            verify.run_suite(n, suite, inject_fault=True)
+    else:
+        assert verify.run_suite(n, suite, inject_fault=True)["ok"] is False
+
+
 def test_fault_flag_does_not_leak_across_threads(monkeypatch):
     # Both runs have set their flag before either reaches its first real check.
     barrier = threading.Barrier(2, timeout=30)
@@ -81,6 +91,28 @@ def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
     report = verify.run_suite(3, "quiver")
     entry = next(c for c in report["checks"] if c["name"] == "exceptional_equals_validate")
     assert entry["ok"] is False and "arc_rules" in entry["counterexample"]
+
+
+def test_seifert_cases_exclusive_reads_hom_and_ext(monkeypatch):
+    monkeypatch.setattr(quiver, "ext_dim", lambda v, w: 1)
+    report = verify.run_suite(2, "bijection")
+    entry = next(c for c in report["checks"] if c["name"] == "seifert_cases_exclusive")
+    assert entry["ok"] is False and entry["counterexample"] == {"a": (1, 1), "b": (1, 1)}
+
+
+def test_a_check_that_raises_is_reported_with_its_error(monkeypatch):
+    def broken(n):
+        raise KeyError(n)
+
+    monkeypatch.setitem(verify.SUITES, "noncrossing", [("broken", broken)])
+    report = verify.run_suite(2, "noncrossing")
+    assert report["ok"] is False
+    assert report["checks"] == [{"name": "broken", "ok": False, "error": "KeyError: 2"}]
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="^unknown suite 'knots'$"):
+        verify.run_suite(2, "knots")
 
 
 def test_cartan_check_reads_the_cartan_matrix(monkeypatch):
@@ -128,11 +160,6 @@ def test_hom_ext_table_reading_checks_every_cell(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_label_readings_agree_on_every_merge(n):
     verify.check_chain_counts(n)  # every merge of all (n+1)^(n-1) maximal chains
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_corners_sit_on_the_boundary(n):
-    verify.check_geometric(n)  # every diagram of PF_n
 
 
 @pytest.mark.parametrize("n", range(1, 6))
