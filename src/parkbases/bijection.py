@@ -2,21 +2,19 @@
 The initial-vector bijection between bases and parking functions.
 
 `initial_vector` reads off the sequence of left endpoints of a basis; it is a
-bijection onto the parking functions, inverted here three ways:
+bijection onto the parking functions.  Its inverse shoots a slope-1 ray
+north-east from each SE corner P_k of the staircase diagram, through corners of
+smaller labels, to the first corner with a larger label, the boundary path or the
+x-axis: the stopping x is the right endpoint.  Three ways to invert it:
 
-- `reconstruct` builds the roots algebraically, processing labels in order of
-  decreasing value (ties by decreasing label) and extending each root as far as
-  the supports built so far force it to go.
-- `reconstruct_geometric` shoots a slope-1 ray north-east from each SE corner
-  P_k of the staircase diagram; the ray passes through corners of smaller
-  labels and stops at the first corner with a larger label, at the boundary
-  path (read off the row lengths: x <= lengths[q] in row q), or at the x-axis.
-  The stopping x-coordinate is the right endpoint.
+- `reconstruct` reads the stops off the rows of f without building a diagram;
+- `reconstruct_geometric` builds the `ParkingDiagram` and asks `ray_stops`;
 - `reconstruct_permutation` is the shortcut available when the input is a
   permutation: the right endpoint is the largest j with [f(k), j] contained in
   the first k values.
 
-All three agree everywhere; the test suite checks this exhaustively.
+The first two share one O(n) stack pass, checked by two independent readings:
+`verify` keeps the algebraic construction and the tests the literal ray walk.
 """
 from __future__ import annotations
 
@@ -31,11 +29,36 @@ def initial_vector(basis: Sequence[Root]) -> tuple[int, ...]:
     return tuple(r.lo for r in basis)
 
 
+def _stops(labels: Sequence[int], lengths: Sequence[int]) -> list[int]:
+    """The ray stops of the diagram with these bottom-up rows, entry k-1 for label k.
+
+    Along the ray from row p, x - q stays c = lengths[p] - p, and the ray passes row q
+    exactly when (lengths[q] - q, labels[q]) < (c, labels[p]).  So it stops at x = q + c
+    for the next row q with a greater key (or q = n), which one stack pass finds for all p.
+    """
+    n = len(labels)
+    m = n + 1
+    keys = [m] * m  # (lengths[q] - q, labels[q]) packed in one int; keys[n] tops them all
+    above = [n] * m  # the stop row of q: after row q, the stack is q, above[q], above[above[q]], ...
+    stops = [0] * n
+    p = n - 1
+    while p >= 0:  # a while loop: at small n, setting up a range costs more than the pass
+        label, c = labels[p], lengths[p] - p
+        key = keys[p] = c * m + label
+        q = p + 1
+        while keys[q] < key:
+            q = above[q]
+        above[p] = q
+        stops[label - 1] = q + c
+        p -= 1
+    return stops
+
+
 def reconstruct(f: Sequence[int]) -> Basis:
     """The unique basis whose initial vector is the parking function f.
 
-    Coverage sets are kept as bitmasks over support points 1..n; bit i is set
-    when some already-built root covers i.
+    Root k runs from f(k) to the ray stop of label k, read off the rows of the
+    diagram of f (labels sorted by (value, label)) without building it.
 
     >>> [str(r) for r in reconstruct((2, 2, 1))]
     ['e[2,3]', 'e[2,2]', 'e[1,3]']
@@ -44,34 +67,9 @@ def reconstruct(f: Sequence[int]) -> Basis:
     if not is_parking(f):
         raise ValueError(f"{f} is not a parking function")
     n = len(f)
-    order = sorted(range(n), key=lambda k: (-f[k], -k))
-    roots: list[Root | None] = [None] * n
-    masks: list[int] = [0] * n
-    built: list[int] = []
-    for k in order:
-        v = f[k]
-        c_mask = 0
-        b_mask = 0
-        for idx in built:
-            if idx > k:
-                c_mask |= masks[idx]
-            else:
-                b_mask |= masks[idx]
-        c = v - 1
-        j = v
-        while j <= n and c_mask & (1 << j):
-            c = j
-            j += 1
-        b = c + 1
-        j = c + 2
-        while j <= n and b_mask & (1 << j):
-            b = j
-            j += 1
-        assert b <= n, "parking condition guarantees the root stays in range"
-        roots[k] = Root(v, b, n)
-        masks[k] = ((1 << (b + 1)) - 1) ^ ((1 << v) - 1)
-        built.append(k)
-    return tuple(roots)  # type: ignore[arg-type]
+    order = sorted(range(n), key=f.__getitem__)  # stable: rows by (f[k], k)
+    stops = _stops([k + 1 for k in order], [f[k] - 1 for k in order])
+    return tuple(Root(v, stop, n) for v, stop in zip(f, stops))
 
 
 def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
@@ -82,19 +80,9 @@ def ray_stops(diagram: ParkingDiagram) -> tuple[int, ...]:
     the corner of row q (x == lengths[q]) when labels[q] < k, and otherwise
     stops at the first x <= lengths[q] (a corner with a larger label, or the
     boundary path) or at the x-axis (q == n).  Every corner lies on that path,
-    which passes (lengths[p], p - n) in each row.
+    which passes (lengths[p], p - n) in each row.  One stack pass answers all rays.
     """
-    n = diagram.n
-    labels, lengths = diagram.labels, diagram.lengths
-    stops = [0] * n
-    for p, k in enumerate(labels):
-        x, q = lengths[p] + 1, p + 1
-        while q < n and (x > lengths[q] or (x == lengths[q] and labels[q] < k)):
-            x += 1
-            q += 1
-        assert x <= n
-        stops[k - 1] = x
-    return tuple(stops)
+    return tuple(_stops(diagram.labels, diagram.lengths))
 
 
 def reconstruct_geometric(f: Sequence[int]) -> Basis:
@@ -103,9 +91,7 @@ def reconstruct_geometric(f: Sequence[int]) -> Basis:
     Raises ValueError, through `to_diagram`, unless f is a parking function.
     """
     values = tuple(f)
-    n = len(values)
-    stops = ray_stops(to_diagram(values))
-    return tuple(Root(values[k], stops[k], n) for k in range(n))
+    return tuple(Root(v, stop, len(values)) for v, stop in zip(values, ray_stops(to_diagram(values))))
 
 
 def reconstruct_permutation(sigma: Sequence[int]) -> Basis:

@@ -60,6 +60,16 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")
 
 
+def _mutated_pair(a: Root, b: Root, direction: Direction) -> tuple[Root, Root]:
+    """The pair (a_k, a_{k+1}) = (a, b) after alpha_k ("left") or beta_k ("right")."""
+    s = seifert(a, b)
+    if direction == "left":
+        return b, _combine(a, s, b)
+    if direction == "right":
+        return _combine(b, s, a), a
+    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+
+
 def mutate(basis: Sequence[Root], k: int, direction: Direction) -> Basis:
     """Apply alpha_k (direction "left") or beta_k ("right") to a basis.
 
@@ -69,15 +79,7 @@ def mutate(basis: Sequence[Root], k: int, direction: Direction) -> Basis:
     """
     basis = tuple(basis)
     _check_k(len(basis), k)
-    a, b = basis[k - 1], basis[k]
-    s = seifert(a, b)
-    if direction == "left":
-        pair = (b, _combine(a, s, b))
-    elif direction == "right":
-        pair = (_combine(b, s, a), a)
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    return basis[: k - 1] + pair + basis[k + 1 :]
+    return basis[: k - 1] + _mutated_pair(basis[k - 1], basis[k], direction) + basis[k + 1 :]
 
 
 def mutate_parking(f: Sequence[int], k: int, direction: Direction) -> tuple[int, ...]:
@@ -93,7 +95,7 @@ def arc_mutation_target(a: Root, b: Root) -> Root:
     """
     if seifert(b, a) != 0:
         raise ValueError(f"seifert({b}, {a}) != 0")
-    return _combine(a, seifert(a, b), b)
+    return _mutated_pair(a, b, "left")[1]
 
 
 def generator_order(basis: Sequence[Root], k: int) -> int:
@@ -109,11 +111,13 @@ def generator_order(basis: Sequence[Root], k: int) -> int:
 
 
 def apply_word(basis: Sequence[Root], word: Sequence[int]) -> Basis:
-    """Apply a braid word left to right; +k means alpha_k, -k means beta_k."""
-    current = tuple(basis)
+    """Apply a braid word left to right (+k: alpha_k, -k: beta_k), in O(n + L) for L letters."""
+    current = list(basis)
     for letter in word:
-        current = mutate(current, abs(letter), "left" if letter > 0 else "right")
-    return current
+        k = abs(letter)
+        _check_k(len(current), k)
+        current[k - 1 : k + 1] = _mutated_pair(current[k - 1], current[k], "left" if letter > 0 else "right")
+    return tuple(current)
 
 
 def apply_word_parking(f: Sequence[int], word: Sequence[int]) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import noncrossing, render, verify
@@ -54,7 +55,7 @@ def _read_payload(args) -> dict:
 def _emit(args, out) -> None:
     """Write a dict as one JSON line, a string as it is, or an iterable of lines one at a time.
 
-    Only `write` is called, so any object with a `write` method can stand in for stdout.
+    Only `write` is called (and `flush` on sys.__stdout__), so any object with a `write` method will do.
     """
     if isinstance(out, dict):
         out = json.dumps(out, sort_keys=True) + "\n"
@@ -63,11 +64,15 @@ def _emit(args, out) -> None:
     try:
         if args.outfile:
             target = open(args.outfile, "w", encoding="utf-8")
+        with target as stream:
+            for line in lines:
+                stream.write(line)
+            if stream is sys.__stdout__:
+                stream.flush()
     except OSError as exc:
+        if not args.outfile and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush passes
         raise CliError("E_IO", f"cannot write output: {exc}") from exc
-    with target as stream:
-        for line in lines:
-            stream.write(line)
 
 
 def _check_limit(args, what: str, default: int) -> None:

@@ -19,7 +19,7 @@ families of pairwise non-crossing arcs satisfying:
 Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
 partial-sum coordinates, so roots are independent exactly when their arcs form
 a forest.  `validate_basis` checks length, rank, "dependent" (this test) and
-"seifert"; arc codes come only from `from_arcs`.
+"seifert" (by one sweep of the arc rules); arc codes come only from `from_arcs`.
 
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
@@ -54,8 +54,8 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     """Check that the ordered roots form a valid basis and return them as a tuple.
 
     Violations raise BasisError, reporting the first failed condition in the
-    fixed order: length, rank, dependent, seifert.  The arc rules hold on exactly
-    these bases (`verify` checks it), so they are not read again here.
+    fixed order: length, rank, dependent, seifert.  One O(n) sweep of the arc rules,
+    which hold on exactly these bases (`verify` checks it), accepts; else a pairwise scan names the pair.
     """
     basis = tuple(roots)
     if rank is None:
@@ -65,18 +65,16 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     for r in basis:
         if r.rank != rank:
             raise BasisError("rank", f"root {r} has rank {r.rank}, expected {rank}")
-    if _first_cycle(tuple((r.lo - 1, r.hi) for r in basis)) is not None:
+    arcs = tuple((r.lo - 1, r.hi) for r in basis)
+    if _first_cycle(arcs) is not None:
         raise BasisError("dependent", "roots are linearly dependent")
+    if _arcs_nest(arcs, rank):
+        return basis
     for j in range(1, rank):
         for i in range(j):
-            value = seifert(basis[j], basis[i])
-            if value != 0:
-                raise BasisError(
-                    "seifert",
-                    f"seifert(a_{j + 1}, a_{i + 1}) = {value} != 0",
-                    (j + 1, i + 1),
-                )
-    return basis
+            if value := seifert(basis[j], basis[i]):
+                raise BasisError("seifert", f"seifert(a_{j + 1}, a_{i + 1}) = {value} != 0", (j + 1, i + 1))
+    raise RuntimeError(f"the arc sweep rejects {arcs}, which the Seifert scan accepts")
 
 
 def is_basis(roots: Sequence[Root], rank: int | None = None) -> bool:
@@ -116,6 +114,30 @@ def _first_cycle(arcs: tuple[tuple[int, int], ...]) -> int | None:
             return idx
         parent[a] = b
     return None
+
+
+def _arcs_nest(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether a forest of arcs on {0, ..., n} keeps rules (1)-(3) and never crosses.
+
+    In label order, an earlier arc must be outer at a shared left end (1), inner at
+    a shared right end (2), and not start at this arc's right end (3).  Rule (1)
+    leaves each point's right ends decreasing: a stack over the points finds crossings.
+    """
+    starts: list[list[int]] = [[] for _ in range(n + 1)]  # right ends leaving each point, in order
+    inner = [n + 1] * (n + 1)  # the last (so the least) left end arriving at each point
+    for left, right in arcs:
+        if (starts[left] and starts[left][-1] <= right) or inner[right] <= left or starts[right]:
+            return False
+        starts[left].append(right)
+        inner[right] = left
+    open_ends = [n + 1]  # right ends of the arcs open over the sweep, falling towards the top
+    for x, out in enumerate(starts):
+        while open_ends[-1] == x:
+            open_ends.pop()
+        if out and open_ends[-1] < out[0]:  # out falls, so its first arc is the one to check
+            return False
+        open_ends += out
+    return True
 
 
 def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
@@ -225,8 +247,12 @@ def _point_bases(points: tuple[int, ...], n: int) -> Iterator[Basis]:
         for j in range(i + 1, t + 1):
             head = Root(points[i] + 1, points[j], n)
             outside, inside = _split(points, i, j)
-            spots = itertools.combinations(range(t - 1), len(outside) - 1)
-            patterns = [tuple(pos in taken for pos in range(t - 1)) for taken in spots]
+            patterns = []  # which of the t - 1 later roots come from outside, built in O(t)
+            for taken in itertools.combinations(range(t - 1), len(outside) - 1):
+                pattern = [False] * (t - 1)
+                for pos in taken:
+                    pattern[pos] = True
+                patterns.append(pattern)
             for sub1 in _point_bases(outside, n):
                 for sub2 in _point_bases(inside, n):
                     for pattern in patterns:

@@ -16,6 +16,7 @@ parallel threads without mixing.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 from typing import Callable
 
@@ -100,9 +101,27 @@ def check_round_trips(n: int) -> None:
             raise CheckFailure({"f": list(f)})
 
 
+def _algebraic_basis(f: tuple[int, ...]) -> tuple[roots.Root, ...]:
+    """Independent inverse of the initial vector: by decreasing (value, label), root k
+    extends from f(k) over the points that roots of larger labels cover, then of smaller."""
+    n = len(f)
+    masks = [0] * n  # the points of each root built so far, as bitmasks
+    for k in sorted(range(n), key=lambda k: (-f[k], -k)):
+        later = functools.reduce(int.__or__, masks[k + 1 :], 0)
+        earlier = functools.reduce(int.__or__, masks[:k], 0)
+        c = f[k] - 1
+        while later >> (c + 1) & 1:
+            c += 1
+        b = c + 1
+        while earlier >> (b + 1) & 1:
+            b += 1
+        masks[k] = (1 << (b + 1)) - (1 << f[k])
+    return tuple(roots.Root(f[k], masks[k].bit_length() - 1, n) for k in range(n))
+
+
 def check_geometric(n: int) -> None:
     for f in parking.parking_functions(n):
-        if bijection.reconstruct_geometric(f) != bijection.reconstruct(f):
+        if bijection.reconstruct_geometric(f) != _algebraic_basis(f):
             raise CheckFailure({"f": list(f)})
 
 

@@ -28,13 +28,43 @@ def basis_of_pairs(pairs, n: int) -> tuple[Root, ...]:
 
 def random_parking(rng, n: int) -> tuple[int, ...]:
     """A uniform random parking function of length n, drawn from `rng`."""
-    # Pollak: exactly one rotation mod n + 1 of a vector in [1..n+1]^n parks.
+    # Pollak: exactly one rotation mod n + 1 of a vector in [1..n+1]^n parks,
+    # the one that moves the spot left empty on a circular street to n + 1.
+    # That spot is where the running sum of (cars preferring it - 1) first
+    # reaches its minimum.
     v = [rng.randint(1, n + 1) for _ in range(n)]
-    for s in range(n + 1):
-        f = tuple((x - 1 + s) % (n + 1) + 1 for x in v)
-        if max(f) <= n and is_parking(f):
-            return f
-    raise AssertionError("no rotation parks")
+    counts = [0] * (n + 2)
+    for x in v:
+        counts[x] += 1
+    level = lowest = 0
+    empty = n + 1
+    for spot in range(1, n + 2):
+        level += counts[spot] - 1
+        if level < lowest:
+            lowest, empty = level, spot
+    f = tuple((x - empty - 1) % (n + 1) + 1 for x in v)
+    assert is_parking(f)
+    return f
+
+
+def ray_walk_stops(diagram) -> tuple[int, ...]:
+    """The ray stops of a diagram, walked one row and one column at a time.
+
+    The ray from the corner of row p passes the corner of row q when
+    x == lengths[q] and labels[q] is smaller, and any row it is right of
+    (x > lengths[q]); it stops at the first other row or at the x-axis (q == n).
+    Quadratic on long rays; the reference for `bijection.ray_stops`.
+    """
+    n = diagram.n
+    labels, lengths = diagram.labels, diagram.lengths
+    stops = [0] * n
+    for p, k in enumerate(labels):
+        x, q = lengths[p] + 1, p + 1
+        while q < n and (x > lengths[q] or (x == lengths[q] and labels[q] < k)):
+            x += 1
+            q += 1
+        stops[k - 1] = x
+    return tuple(stops)
 
 
 # The full generator action on the 16 parking functions of three cars,

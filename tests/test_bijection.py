@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from parkbases import verify
 from parkbases.bijection import (
     initial_vector,
+    ray_stops,
     reconstruct,
     reconstruct_geometric,
     reconstruct_permutation,
 )
+from parkbases.parking import to_diagram
 from parkbases.roots import Root, simple_roots
 
-from helpers import all_pfs, basis_of_pairs, random_parking
+from helpers import all_pfs, basis_of_pairs, random_parking, ray_walk_stops
 
 N12_F = (3, 11, 7, 5, 9, 8, 5, 2, 1, 10, 2, 12)
 N12_PAIRS = [
@@ -49,13 +51,27 @@ def test_identity_permutation_gives_simple_roots():
     assert reconstruct(tuple(range(1, n + 1))) == simple_roots(n)
 
 
-@pytest.mark.parametrize("n", [64, 400])
+@pytest.mark.parametrize("n", [64, 400, 1600])
 def test_geometric_equals_algebraic_on_long_rays(n):
-    # Long rays cross many rows; extremes plus uniform draws.
+    # Long rays cross many rows; extremes plus uniform draws.  Both inverses read
+    # the same stack pass, so each is held to the algebraic construction of
+    # `verify` and to the literal ray walk.
     rng = random.Random(n)
     extremes = [(1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
     for f in extremes + [random_parking(rng, n) for _ in range(10)]:
-        assert reconstruct_geometric(f) == reconstruct(f)
+        diagram = to_diagram(f)
+        walk = ray_walk_stops(diagram)
+        assert ray_stops(diagram) == walk
+        algebraic = verify._algebraic_basis(f)
+        assert tuple(Root(v, stop, n) for v, stop in zip(f, walk)) == algebraic
+        assert reconstruct(f) == reconstruct_geometric(f) == algebraic
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ray_stops_equal_the_ray_walk(n):
+    for f in all_pfs(n):
+        diagram = to_diagram(f)
+        assert ray_stops(diagram) == ray_walk_stops(diagram), f
 
 
 def test_reconstruct_rejects_non_parking():
@@ -67,11 +83,6 @@ def test_reconstruct_rejects_non_parking():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_in_vector_reconstruct_round_trip(n):
-    verify.check_round_trips(n)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_reconstruct_in_vector_round_trip(n):
     verify.check_round_trips(n)
 
 

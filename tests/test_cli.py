@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -14,6 +17,8 @@ from parkbases.bijection import reconstruct
 from parkbases.cli import main
 from parkbases.noncrossing import partition_chain
 from parkbases.parking import parking_functions
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -530,3 +535,36 @@ def test_stdin_verbs_answer_or_print_one_error_line(argv, payload):
     else:
         assert code == 1 and out == "", (code, out)
         assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), err
+
+
+def _cli_process(argv, stdout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "parkbases.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+_BROKEN_PIPE = "E_IO: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_pipe_closed_mid_stream_is_one_error_line():
+    # `parkbases enumerate 6 bases | head -c 50`: the reader leaves after 50 bytes.
+    proc = _cli_process(["enumerate", "6", "bases"], subprocess.PIPE)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)
+
+
+def test_a_pipe_closed_before_the_first_byte_is_one_error_line():
+    # A short answer sits in the stdout buffer until the flush, which must not be
+    # left to the interpreter's exit ("Exception ignored ...", exit 120).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["enumerate", "2", "pf"], write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)

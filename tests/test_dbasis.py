@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from parkbases import linalg, verify
+from parkbases import dbasis, linalg, verify
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.dbasis import (
     ArcDiagram,
@@ -45,6 +45,31 @@ def test_validate_rejects_crossing_supports():
         validate_basis((Root(1, 2, 3), Root(2, 3, 3), Root(1, 1, 3)))
     assert err.value.code == "seifert"
     assert err.value.detail == (2, 1)
+
+
+def test_validate_never_accepts_what_the_sweep_rejects(monkeypatch):
+    # A sweep that rejects a valid basis leaves the pairwise scan no pair to report.
+    monkeypatch.setattr(dbasis, "_arcs_nest", lambda arcs, n: False)
+    with pytest.raises(RuntimeError, match="arc sweep rejects"):
+        validate_basis(reconstruct((2, 2, 1)))
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_validate_agrees_with_the_pairwise_scan_on_near_misses(n):
+    # The sweep decides acceptance; every pair's Seifert value is the reference.
+    rng = random.Random(n)
+    for _ in range(100):
+        basis = list(reconstruct(random_parking(rng, n)))
+        k = rng.randrange(n - 1)
+        if rng.random() < 0.5:
+            basis[k], basis[k + 1] = basis[k + 1], basis[k]
+        else:
+            lo = rng.randint(1, n)
+            basis[k] = Root(lo, rng.randint(lo, n), n)
+        code = _code(basis, n)
+        if code != "dependent":
+            triangular = all(seifert(basis[j], basis[i]) == 0 for j in range(n) for i in range(j))
+            assert (code is None) == triangular, basis
 
 
 def test_validate_priority_length_first():
