@@ -156,23 +156,29 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": list(f), "verified": verified})
 
 
-# kind: (default limit, closed-form count, enumerator, JSON fields of one item).
+# kind: (default limit, closed-form count, enumerator, the JSON text of an item's one field).
+# Every field name sorts before "n", and str() of a list of ints, or of nested such lists,
+# is its JSON with the default separators: each line is json.dumps(item, sort_keys=True).
 # The lambdas look the enumerators up when called, so a rebinding of this
 # module's names (bench/spans.py traces that way) reaches them.
 _ENUMERATE = {
-    "pf": (8, lambda n: basis_count(n), lambda n: parking_functions(n), lambda f: {"f": list(f)}),
-    "bases": (8, lambda n: basis_count(n), lambda n: distinguished_bases(n), lambda b: {"basis": _pairs(b)}),
+    "pf": (8, lambda n: basis_count(n), lambda n: parking_functions(n), lambda f: f'"f": {list(f)}'),
+    "bases": (
+        8, lambda n: basis_count(n), lambda n: distinguished_bases(n),
+        lambda b: '"basis": [' + ", ".join([f"[{r.lo}, {r.hi}]" for r in b]) + "]",
+    ),
     "nondecreasing": (
-        12, lambda n: catalan(n), lambda n: nondecreasing_parking_functions(n), lambda f: {"f": list(f)},
+        12, lambda n: catalan(n), lambda n: nondecreasing_parking_functions(n), lambda f: f'"f": {list(f)}',
     ),
     "chains": (
-        8, lambda n: basis_count(n), lambda n: noncrossing.maximal_chains(n), lambda c: {"chain": _blocks(c)},
+        8, lambda n: basis_count(n), lambda n: noncrossing.maximal_chains(n),
+        lambda c: f'"chain": {_blocks(c)}',
     ),
 }
 
 
 def cmd_enumerate(args) -> None:
-    limit, count, items, fields = _ENUMERATE[args.kind]
+    limit, count, items, field = _ENUMERATE[args.kind]
     _check_limit(args, args.kind, limit)
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
@@ -180,8 +186,9 @@ def cmd_enumerate(args) -> None:
     if args.count:
         _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
         return
+    tail = f', "n": {n}}}\n'
     try:  # the bases and chains enumerators recurse to depth n before their first item
-        _emit(args, (json.dumps({"n": n, **fields(x)}, sort_keys=True) + "\n" for x in items(n)))
+        _emit(args, ("{" + field(x) + tail for x in items(n)))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 from .roots import Basis, Root, seifert
@@ -237,27 +238,36 @@ def _point_bases(points: tuple[int, ...], n: int) -> Iterator[Basis]:
     """All bases whose roots are the arcs between the axis points p_0 < ... < p_t.
 
     Pick the head arc (p_i, p_j), enumerate the points outside and inside it
-    (`_split`), and interleave the two bases order-preservingly.
+    (`_split`), and interleave the two bases order-preservingly: each interleaving
+    is one gather from (head, *sub1, *sub2).
     """
     t = len(points) - 1
-    if t == 0:
-        yield ()
+    if t <= 1:  # no roots, or the one arc (p_0, p_1): a gather of one index gives no tuple
+        yield (Root(points[0] + 1, points[1], n),) if t else ()
         return
     for i in range(t):
         for j in range(i + 1, t + 1):
             head = Root(points[i] + 1, points[j], n)
             outside, inside = _split(points, i, j)
-            patterns = []  # which of the t - 1 later roots come from outside, built in O(t)
-            for taken in itertools.combinations(range(t - 1), len(outside) - 1):
-                pattern = [False] * (t - 1)
-                for pos in taken:
-                    pattern[pos] = True
-                patterns.append(pattern)
+            m = len(outside) - 1  # the outside roots sit at indices 1..m of (head, *sub1, *sub2)
+            # An interleaving puts the root at index k + 1 at basis position taken[k], and the
+            # root at index m + p - k at each position p between taken[k - 1] and taken[k].  With
+            # nothing inside, taking no position gives the one (identity) gather in O(1) steps.
+            gathers = []
+            for taken in itertools.combinations(range(1, t), m if len(inside) > 1 else 0):
+                index = [0]
+                p = 1  # the first position not yet filled
+                for k, pos in enumerate(taken):
+                    index += range(m + p - k, m + pos - k)
+                    index.append(k + 1)
+                    p = pos + 1
+                index += range(p, t)
+                gathers.append(operator.itemgetter(*index))
             for sub1 in _point_bases(outside, n):
                 for sub2 in _point_bases(inside, n):
-                    for pattern in patterns:
-                        it1, it2 = iter(sub1), iter(sub2)
-                        yield (head, *[next(it1) if take else next(it2) for take in pattern])
+                    roots = (head, *sub1, *sub2)
+                    for gather in gathers:
+                        yield gather(roots)
 
 
 def distinguished_bases(n: int) -> Iterator[Basis]:

@@ -181,7 +181,8 @@ def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     There are (n+1)^(n-1) of them.  An odometer: each step raises the rightmost
     entry that can still grow by one and resets the tail to 1s.  With a tail of
     1s, raising f[i] from v to v + 1 lowers only the count of values <= v, so
-    that one count decides the step; it fails for every v >= n.
+    that one count decides the step, and it may stop once it reaches v; it
+    fails for every v >= n.
 
     >>> list(parking_functions(2))
     [(1, 1), (1, 2), (2, 1)]
@@ -192,7 +193,16 @@ def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     while True:
         yield tuple(f)
         i = n - 1
-        while i >= 0 and sum(x <= f[i] for x in f[:i]) + n - 1 - i < f[i]:
+        while i >= 0:
+            v = f[i]
+            if v < n:
+                seen = n - 1 - i  # the tail's 1s
+                for x in f[:i]:
+                    if seen >= v:
+                        break
+                    seen += x <= v
+                if seen >= v:
+                    break
             i -= 1
         if i < 0:
             return

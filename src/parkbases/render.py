@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Sequence
 
 from .braid import OrbitGraph
 from .dbasis import ArcDiagram
@@ -115,18 +114,16 @@ def orbit_dot(graph: OrbitGraph, include_beta: bool = False) -> str:
     are emitted too, labelled b1, b2, ....
     """
 
-    def name(f: Sequence[int]) -> str:
-        return '"' + ",".join(str(v) for v in f) + '"'
-
+    name = {f: '"' + ",".join(map(str, f)) + '"' for f in graph.nodes}  # edges join nodes only
     lines = ["digraph orbit {"]
     for f in graph.nodes:
-        lines.append(f"  {name(f)};")
+        lines.append(f"  {name[f]};")
     for f, k, g in graph.edges():
-        lines.append(f'  {name(f)} -> {name(g)} [label="a{k}"];')
+        lines.append(f'  {name[f]} -> {name[g]} [label="a{k}"];')
         if include_beta:
-            lines.append(f'  {name(g)} -> {name(f)} [label="b{k}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append(f'  {name[g]} -> {name[f]} [label="b{k}"];')
+    lines.append("}\n")
+    return "\n".join(lines)  # one copy of the text at its peak, not two
 
 
 # (format, target) -> renderer; a json renderer gives the value `render` writes as one line.

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
-from parkbases.dbasis import distinguished_bases
+from parkbases.dbasis import _split, distinguished_bases
 from parkbases.parking import is_parking, parking_functions
 from parkbases.roots import Root
 
@@ -16,6 +17,34 @@ def all_bases(n: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def all_pfs(n: int) -> tuple:
     return tuple(parking_functions(n))
+
+
+def pattern_point_bases(points: tuple[int, ...], n: int):
+    """All bases on the axis points, by explicit interleaving patterns.
+
+    The same recursion as `dbasis._point_bases`, but each later root is drawn
+    one at a time from sub1 or sub2 as a boolean pattern says; the reference for
+    the order in which `distinguished_bases` yields its bases.
+    """
+    t = len(points) - 1
+    if t == 0:
+        yield ()
+        return
+    for i in range(t):
+        for j in range(i + 1, t + 1):
+            head = Root(points[i] + 1, points[j], n)
+            outside, inside = _split(points, i, j)
+            patterns = []  # which of the t - 1 later roots come from outside
+            for taken in itertools.combinations(range(t - 1), len(outside) - 1):
+                pattern = [False] * (t - 1)
+                for pos in taken:
+                    pattern[pos] = True
+                patterns.append(pattern)
+            for sub1 in pattern_point_bases(outside, n):
+                for sub2 in pattern_point_bases(inside, n):
+                    for pattern in patterns:
+                        it1, it2 = iter(sub1), iter(sub2)
+                        yield (head, *[next(it1) if take else next(it2) for take in pattern])
 
 
 def root(lo: int, hi: int, n: int) -> Root:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from parkbases.bijection import reconstruct
 from parkbases.cli import main
-from parkbases.noncrossing import partition_chain
-from parkbases.parking import parking_functions
+from parkbases.dbasis import distinguished_bases
+from parkbases.noncrossing import maximal_chains, partition_chain
+from parkbases.parking import nondecreasing_parking_functions, parking_functions
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -137,6 +138,26 @@ def test_enumerate_streams_lines(monkeypatch, capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     assert [tuple(obj["f"]) for obj in lines] == [(1, 1), (1, 2), (2, 1)]
+
+
+# kind: (largest n checked, the JSON items of one n, built without the CLI)
+ENUMERATE_ITEMS = {
+    "pf": (5, lambda n: [{"f": list(f)} for f in parking_functions(n)]),
+    "bases": (5, lambda n: [{"basis": [[r.lo, r.hi] for r in b]} for b in distinguished_bases(n)]),
+    "nondecreasing": (7, lambda n: [{"f": list(f)} for f in nondecreasing_parking_functions(n)]),
+    "chains": (4, lambda n: [{"chain": [[list(b) for b in p.blocks] for p in c.partitions]}
+                             for c in maximal_chains(n)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(ENUMERATE_ITEMS))
+def test_enumerate_lines_are_json_dumps_of_each_item(kind, monkeypatch, capsys):
+    top, items = ENUMERATE_ITEMS[kind]
+    for n in range(1, top + 1):
+        code, out, err = run_cli(["enumerate", str(n), kind], "", monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        expected = [json.dumps({"n": n, **item}, sort_keys=True) + "\n" for item in items(n)]
+        assert out.splitlines(keepends=True) == expected
 
 
 def test_braid_apply(monkeypatch, capsys):
@@ -427,6 +448,21 @@ ENUMERATE_GOLDEN = [
 
 @pytest.mark.parametrize("argv,size,sha", ENUMERATE_GOLDEN)
 def test_enumerate_writes_golden_lines_to_a_write_only_stdout(argv, size, sha, monkeypatch):
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    main(argv)
+    assert (sink.size, sink.sha.hexdigest()) == (size, sha)
+
+
+# The two other large writes, as `bench/workloads.py` checks them.
+WRITE_GOLDEN = [
+    (["enumerate", "6", "pf"], 571438, "96fee95630a3cf640bf11593bc348d41f02709e97177e04ab8821a61cf843bb5"),
+    (["orbit", "5"], 242370, "74bd0b525200cf62b4e7752e8a1fa0b37390adfdf73e796fbfae09f3f557c215"),
+]
+
+
+@pytest.mark.parametrize("argv,size,sha", WRITE_GOLDEN)
+def test_large_writes_match_their_golden_bytes(argv, size, sha, monkeypatch):
     sink = _WriteOnly()
     monkeypatch.setattr("sys.stdout", sink)
     main(argv)

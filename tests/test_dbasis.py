@@ -8,6 +8,7 @@ from parkbases.bijection import initial_vector, reconstruct
 from parkbases.dbasis import (
     ArcDiagram,
     BasisError,
+    distinguished_bases,
     from_arcs,
     gap,
     is_basis,
@@ -19,7 +20,7 @@ from parkbases.dbasis import (
 )
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs, random_parking
+from helpers import all_bases, all_pfs, basis_of_pairs, pattern_point_bases, random_parking
 
 N12_PAIRS = [
     (3, 3), (11, 11), (7, 7), (5, 7), (9, 9), (8, 9),
@@ -199,6 +200,16 @@ def test_enumeration_counts_and_uniqueness(n, count):
     bases = all_bases(n)
     assert len(bases) == count
     assert len(set(bases)) == count
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_order_matches_the_pattern_oracle(n):
+    assert all_bases(n) == tuple(pattern_point_bases(tuple(range(n + 1)), n))
+
+
+def test_first_basis_at_depth_600():
+    # The first head at every depth is the arc (p_0, p_1), so the simple roots come first.
+    assert next(distinguished_bases(600)) == simple_roots(600)
 
 
 def test_golden_list_a2():
