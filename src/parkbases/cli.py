@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import sys
 from . import noncrossing, render, verify
 from .bijection import initial_vector, reconstruct
 from .braid import apply_word, generator_order, orbit_graph, parse_word
-from .dbasis import BasisError, basis_count, distinguished_bases, to_arcs, validate_basis
+from .dbasis import BasisError, _point_bases, basis_count, distinguished_bases, to_arcs, validate_basis
 from .parking import (
     catalan,
     is_parking,
@@ -52,21 +53,26 @@ def _read_payload(args) -> dict:
     return payload
 
 
-def _emit(args, out) -> None:
-    """Write a dict as one JSON line, a string as it is, or an iterable of lines one at a time.
+# Lines per write of an iterable: enough to amortise each `write`, few enough that memory stays flat.
+_CHUNK = 64
 
+
+def _emit(args, out) -> None:
+    """Write a dict as one JSON line, a string as it is, or an iterable of lines in chunks.
+
+    Each chunk is the join of the next `_CHUNK` lines, written as they are generated.
     Only `write` is called (and `flush` on sys.__stdout__), so any object with a `write` method will do.
     """
     if isinstance(out, dict):
         out = json.dumps(out, sort_keys=True) + "\n"
-    lines = [out] if isinstance(out, str) else out
+    lines = iter([out] if isinstance(out, str) else out)
     target = contextlib.nullcontext(sys.stdout)
     try:
         if args.outfile:
             target = open(args.outfile, "w", encoding="utf-8")
         with target as stream:
-            for line in lines:
-                stream.write(line)
+            while chunk := list(itertools.islice(lines, _CHUNK)):
+                stream.write("".join(chunk))
             if stream is sys.__stdout__:
                 stream.flush()
     except OSError as exc:
@@ -156,29 +162,35 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": list(f), "verified": verified})
 
 
-# kind: (default limit, closed-form count, enumerator, the JSON text of an item's one field).
-# Every field name sorts before "n", and str() of a list of ints, or of nested such lists,
-# is its JSON with the default separators: each line is json.dumps(item, sort_keys=True).
-# The lambdas look the enumerators up when called, so a rebinding of this
-# module's names (bench/spans.py traces that way) reaches them.
+def _value_texts(lists, n: int):
+    """Each list of ints in 0..n as an iterator over its values' texts, each text made once per call."""
+    text = [str(v) for v in range(n + 1)].__getitem__
+    return (map(text, f) for f in lists)
+
+
+# kind: (default limit, closed-form count, field name, the JSON texts of each item's list elements).
+# Every field name sorts before "n", and str() of an int, or of nested lists of ints, is its JSON
+# with the default separators: each line is json.dumps(item, sort_keys=True).  The lambdas look
+# the enumerators up when called, so a rebinding of this module's names (bench/spans.py traces
+# that way, and still rebinds `distinguished_bases`, which listing no longer calls) reaches them.
 _ENUMERATE = {
-    "pf": (8, lambda n: basis_count(n), lambda n: parking_functions(n), lambda f: f'"f": {list(f)}'),
+    "pf": (8, lambda n: basis_count(n), "f", lambda n: _value_texts(parking_functions(n), n)),
     "bases": (
-        8, lambda n: basis_count(n), lambda n: distinguished_bases(n),
-        lambda b: '"basis": [' + ", ".join([f"[{r.lo}, {r.hi}]" for r in b]) + "]",
+        8, lambda n: basis_count(n), "basis",
+        lambda n: _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]")),
     ),
     "nondecreasing": (
-        12, lambda n: catalan(n), lambda n: nondecreasing_parking_functions(n), lambda f: f'"f": {list(f)}',
+        12, lambda n: catalan(n), "f", lambda n: _value_texts(nondecreasing_parking_functions(n), n),
     ),
     "chains": (
-        8, lambda n: basis_count(n), lambda n: noncrossing.maximal_chains(n),
-        lambda c: f'"chain": {_blocks(c)}',
+        8, lambda n: basis_count(n), "chain",
+        lambda n: (map(str, _blocks(c)) for c in noncrossing.maximal_chains(n)),
     ),
 }
 
 
 def cmd_enumerate(args) -> None:
-    limit, count, items, field = _ENUMERATE[args.kind]
+    limit, count, field, items = _ENUMERATE[args.kind]
     _check_limit(args, args.kind, limit)
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
@@ -186,9 +198,9 @@ def cmd_enumerate(args) -> None:
     if args.count:
         _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
         return
-    tail = f', "n": {n}}}\n'
+    head, tail, join = f'{{"{field}": [', f'], "n": {n}}}\n', ", ".join
     try:  # the bases and chains enumerators recurse to depth n before their first item
-        _emit(args, ("{" + field(x) + tail for x in items(n)))
+        _emit(args, (head + join(texts) + tail for texts in items(n)))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
 

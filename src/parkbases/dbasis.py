@@ -24,13 +24,17 @@ a forest.  `validate_basis` checks length, rank, "dependent" (this test) and
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
 points inside it, points[i:j] (`_split`, also read by `right_orthogonal_basis`).
+What an arc becomes is the caller's choice: `_point_bases` yields tuples of
+leaf(a, b), so `distinguished_bases` shares one `Root` per arc and call, and the
+CLI lists the arcs' JSON texts without building a root.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .roots import Basis, Root, seifert
 
@@ -234,20 +238,28 @@ def right_orthogonal_basis(root: Root, n: int) -> tuple[tuple[Root, ...], tuple[
     return first, second
 
 
-def _point_bases(points: tuple[int, ...], n: int) -> Iterator[Basis]:
+def _point_bases(points: tuple[int, ...], leaf: Callable[[int, int], object]) -> Iterable[tuple]:
     """All bases whose roots are the arcs between the axis points p_0 < ... < p_t.
+
+    Each basis is a tuple of leaf(a, b), one for each of its arcs (a, b).  With t <= 1
+    the one basis comes back inside a tuple, not from a new generator.
+    """
+    t = len(points) - 1
+    if t <= 1:  # no roots, or the one arc (p_0, p_1): a gather of one index gives no tuple
+        return ((leaf(points[0], points[1]),) if t else (),)
+    return _headed_bases(points, t, leaf)
+
+
+def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
+    """The bases of `_point_bases` for t >= 2.
 
     Pick the head arc (p_i, p_j), enumerate the points outside and inside it
     (`_split`), and interleave the two bases order-preservingly: each interleaving
     is one gather from (head, *sub1, *sub2).
     """
-    t = len(points) - 1
-    if t <= 1:  # no roots, or the one arc (p_0, p_1): a gather of one index gives no tuple
-        yield (Root(points[0] + 1, points[1], n),) if t else ()
-        return
     for i in range(t):
         for j in range(i + 1, t + 1):
-            head = Root(points[i] + 1, points[j], n)
+            head = leaf(points[i], points[j])
             outside, inside = _split(points, i, j)
             m = len(outside) - 1  # the outside roots sit at indices 1..m of (head, *sub1, *sub2)
             # An interleaving puts the root at index k + 1 at basis position taken[k], and the
@@ -263,8 +275,8 @@ def _point_bases(points: tuple[int, ...], n: int) -> Iterator[Basis]:
                     p = pos + 1
                 index += range(p, t)
                 gathers.append(operator.itemgetter(*index))
-            for sub1 in _point_bases(outside, n):
-                for sub2 in _point_bases(inside, n):
+            for sub1 in _point_bases(outside, leaf):
+                for sub2 in _point_bases(inside, leaf):
                     roots = (head, *sub1, *sub2)
                     for gather in gathers:
                         yield gather(roots)
@@ -275,11 +287,12 @@ def distinguished_bases(n: int) -> Iterator[Basis]:
 
     Every basis is produced exactly once; there are (n+1)^(n-1) of them.  The
     first root is an arc (i, j) of the axis {0, ..., n}; the rest enumerate the
-    points outside it and the points inside it the same way.
+    points outside it and the points inside it the same way.  The bases of one
+    call share their roots: at most n(n+1)/2 `Root` objects, each made on first use.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    yield from _point_bases(tuple(range(n + 1)), n)
+    yield from _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: Root(a + 1, b, n)))
 
 
 def basis_count(n: int) -> int:

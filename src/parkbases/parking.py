@@ -103,7 +103,7 @@ def to_diagram(values: Sequence[int]) -> ParkingDiagram:
     f(k) - 1.
     """
     f = _checked(values)
-    order = sorted(range(len(f)), key=lambda k: (f[k], k))
+    order = sorted(range(len(f)), key=f.__getitem__)  # stable: rows by (f[k], k)
     return ParkingDiagram(
         labels=tuple(k + 1 for k in order),
         lengths=tuple(f[k] - 1 for k in order),

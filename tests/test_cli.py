@@ -101,10 +101,11 @@ def test_enumerate_counts(args, expected, monkeypatch, capsys):
 
 @pytest.mark.parametrize("kind", ["bases", "chains"])
 def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
-    def enumerate_(n):
+    def enumerate_(*args):
         raise AssertionError("--count enumerated")
 
     monkeypatch.setattr("parkbases.cli.distinguished_bases", enumerate_)
+    monkeypatch.setattr("parkbases.cli._point_bases", enumerate_)  # what listing `bases` calls
     monkeypatch.setattr("parkbases.noncrossing.maximal_chains", enumerate_)
     code, out, _ = run_cli(["enumerate", "8", kind, "--count"], "", monkeypatch, capsys)
     assert code == 0 and json.loads(out) == {"count": 9 ** 7, "kind": kind, "n": 8}

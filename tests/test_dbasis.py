@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -205,6 +207,21 @@ def test_enumeration_counts_and_uniqueness(n, count):
 @pytest.mark.parametrize("n", range(7))
 def test_enumeration_order_matches_the_pattern_oracle(n):
     assert all_bases(n) == tuple(pattern_point_bases(tuple(range(n + 1)), n))
+
+
+def test_library_bases_at_n6_are_the_cli_golden_and_share_21_roots():
+    # The CLI lists arc texts without `distinguished_bases`, so this pins the library path alone
+    # to the `enumerate 6 bases` golden bytes of tests/test_cli.py.
+    digest, size, roots = hashlib.sha256(), 0, {}
+    for basis in distinguished_bases(6):
+        line = json.dumps({"basis": [[r.lo, r.hi] for r in basis], "n": 6}, sort_keys=True) + "\n"
+        digest.update(line.encode())
+        size += len(line)
+        roots.update((id(r), r) for r in basis)  # keeps each root alive, so no id is reused
+    assert (size, digest.hexdigest()) == (
+        1142876, "fd90d9d947d6944e7d919d1ada6edaab0906835484aad877b37c4939efbedcb6"
+    )
+    assert len(roots) <= 21
 
 
 def test_first_basis_at_depth_600():
