@@ -41,18 +41,22 @@ def parse_word(text: str) -> tuple[int, ...]:
 def _combine(a: Root, s: int, b: Root) -> Root:
     """The positive version of a - s*b, a signed root whenever the mutation rules apply.
 
-    With the root [lo, hi] read as the arc x_hi - x_{lo-1}, a - s*b is a signed
-    root iff its four signed endpoints leave weights +1 and -1 on two points i < j.
+    With [lo, hi] read as the arc (lo - 1, hi), a - s*b is a signed root iff the arcs
+    share exactly one end with opposite weights; it is then the arc between their other ends.
     """
     if s == 0:
         return a
-    weights: dict[int, int] = {}
-    for point, weight in ((a.hi, 1), (a.lo - 1, -1), (b.hi, -s), (b.lo - 1, s)):
-        weights[point] = weights.get(point, 0) + weight
-    ends = {point: weight for point, weight in weights.items() if weight}
-    if sorted(ends.values()) != [-1, 1]:
-        raise RuntimeError(f"{a} - {s}*{b} is not a signed root")
-    return Root(min(ends) + 1, max(ends), a.rank)
+    if s == 1:
+        if a.hi == b.hi and a.lo != b.lo:
+            return Root(min(a.lo, b.lo), max(a.lo, b.lo) - 1, a.rank)
+        if a.lo == b.lo and a.hi != b.hi:
+            return Root(min(a.hi, b.hi) + 1, max(a.hi, b.hi), a.rank)
+    elif s == -1:
+        if a.hi + 1 == b.lo:
+            return Root(a.lo, b.hi, a.rank)
+        if b.hi + 1 == a.lo:
+            return Root(b.lo, a.hi, a.rank)
+    raise RuntimeError(f"{a} - {s}*{b} is not a signed root")
 
 
 def _check_k(n: int, k: int) -> None:

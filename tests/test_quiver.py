@@ -124,11 +124,62 @@ def test_hom_ext_table_matches_cells_sampled(n):
         assert hom_ext_table(mods) == _cells(mods), f
 
 
+@pytest.mark.parametrize("n", [64, 400])
+@pytest.mark.parametrize("f", ["identity", "reversed", "all-ones"])
+def test_hom_ext_table_matches_cells_extreme_bases(n, f):
+    f = {"identity": range(1, n + 1), "reversed": range(n, 0, -1), "all-ones": [1] * n}[f]
+    mods = modules_of(reconstruct(tuple(f)))
+    assert hom_ext_table(mods) == _cells(mods)
+
+
+@pytest.mark.parametrize("length", [0, 1, 64, 128])
+def test_hom_ext_table_matches_cells_on_root_tuples(length):
+    # Any same-rank sequence, not only bases: random roots drawn from a pool
+    # half the length, so every tuple of two or more roots repeats one.
+    n, rng = 64, random.Random(length)
+    pool = []
+    for _ in range(max(1, length // 2)):
+        lo = rng.randint(1, n)
+        pool.append(Root(lo, rng.randint(lo, n), n))
+    tup = [rng.choice(pool) for _ in range(length)]
+    assert length < 2 or len(set(tup)) < length
+    mods = modules_of(tup)
+    assert hom_ext_table(mods) == _cells(mods)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_hom_ext_table_on_copies_of_the_longest_root(n):
+    mods = modules_of([Root(1, n, n)] * n)
+    hom, ext = hom_ext_table(mods)
+    assert (hom, ext) == _cells(mods)
+    assert hom == ((1,) * n,) * n and ext == ((0,) * n,) * n
+
+
 def test_hom_ext_table_rank_mismatch():
     mods = (mod(1, 1, 2), mod(2, 2, 2), mod(1, 3, 3))
     with pytest.raises(ValueError, match=r"^rank mismatch: 2 != 3$"):
         hom_ext_table(mods)
     assert hom_ext_table(()) == ((), ())
+    # the first module against the first one that differs, here the last of 65
+    mods = modules_of(reconstruct(tuple(range(1, 65)))) + (mod(1, 70, 70),)
+    with pytest.raises(ValueError, match=r"^rank mismatch: 64 != 70$"):
+        hom_ext_table(mods)
+
+
+def test_ext_dim_reads_the_seifert_form(monkeypatch):
+    # ext_dim is Hom minus the Euler (Seifert) form, not the table's direct Ext
+    # rule: flipping the form on one pair moves ext_dim and leaves the table.
+    v, w = mod(1, 1, 2), mod(2, 2, 2)
+    assert ext_dim(v, w) == 1 and hom_ext_table((v, w))[1][0][1] == 1
+    true_seifert = quiver.seifert
+
+    def flipped(a, b):
+        return 0 if (a, b) == (v.root, w.root) else true_seifert(a, b)
+
+    monkeypatch.setattr(quiver, "seifert", flipped)
+    assert ext_dim(v, w) == 0
+    assert ext_dim(w, v) == 0 and ext_dim(v, v) == 0
+    assert hom_ext_table((v, w))[1][0][1] == 1
 
 
 def test_hom_ext_table_needs_no_per_cell_helpers(monkeypatch):
