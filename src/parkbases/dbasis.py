@@ -18,8 +18,10 @@ families of pairwise non-crossing arcs satisfying:
 
 Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
 partial-sum coordinates, so roots are independent exactly when their arcs form
-a forest.  `validate_basis` checks length, rank, "dependent" (this test) and
-"seifert" (by one sweep of the arc rules); arc codes come only from `from_arcs`.
+a forest.  Read as transpositions (lo - 1, hi), roots form a basis exactly when
+they multiply to the cycle (0 1 ... n): Denes (1959) counts these minimal
+factorizations as (n+1)^(n-1) (Goulden-Yong, JCTA 98, 2002).  That product accepts
+in `validate_basis` and `from_arcs`; the Seifert scan and arc rules name rejections.
 
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
@@ -45,8 +47,8 @@ class BasisError(ValueError):
     `validate_basis` checks, in order: "length", "rank", "dependent",
     "seifert" (detail: the 1-based ordered pair (j, i) with j > i at fault).
     `from_arcs` checks "length", then the arc rules "crossing" / "arc1" /
-    "arc2" / "arc3" / "arc4" (detail: the arc labels); arc codes come only
-    from `from_arcs`.  "dependent" and "arc4" are the same arc-forest test.
+    "arc2" / "arc3" / "arc4" (detail: the arc labels).  The cycle product accepts;
+    these codes only name a rejection.  "dependent" and "arc4" are the same forest test.
     """
 
     def __init__(self, code: str, message: str, detail: tuple = ()):
@@ -59,8 +61,8 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     """Check that the ordered roots form a valid basis and return them as a tuple.
 
     Violations raise BasisError, reporting the first failed condition in the
-    fixed order: length, rank, dependent, seifert.  One O(n) sweep of the arc rules,
-    which hold on exactly these bases (`verify` checks it), accepts; else a pairwise scan names the pair.
+    fixed order: length, rank, dependent, seifert.  The O(n) cycle product accepts
+    (Denes; Goulden-Yong); on a rejection a pairwise Seifert scan names the pair.
     """
     basis = tuple(roots)
     if rank is None:
@@ -73,13 +75,13 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     arcs = tuple((r.lo - 1, r.hi) for r in basis)
     if _first_cycle(arcs) is not None:
         raise BasisError("dependent", "roots are linearly dependent")
-    if _arcs_nest(arcs, rank):
+    if _is_cycle_factorization(arcs, rank):
         return basis
     for j in range(1, rank):
         for i in range(j):
             if value := seifert(basis[j], basis[i]):
                 raise BasisError("seifert", f"seifert(a_{j + 1}, a_{i + 1}) = {value} != 0", (j + 1, i + 1))
-    raise RuntimeError(f"the arc sweep rejects {arcs}, which the Seifert scan accepts")
+    raise RuntimeError(f"the product rejects {arcs}, which the Seifert scan accepts")
 
 
 def is_basis(roots: Sequence[Root], rank: int | None = None) -> bool:
@@ -121,28 +123,16 @@ def _first_cycle(arcs: tuple[tuple[int, int], ...]) -> int | None:
     return None
 
 
-def _arcs_nest(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
-    """Whether a forest of arcs on {0, ..., n} keeps rules (1)-(3) and never crosses.
+def _is_cycle_factorization(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether the transpositions (a b) of the arcs multiply, left to right, to (0 1 ... n).
 
-    In label order, an earlier arc must be outer at a shared left end (1), inner at
-    a shared right end (2), and not start at this arc's right end (3).  Rule (1)
-    leaves each point's right ends decreasing: a stack over the points finds crossings.
+    >>> _is_cycle_factorization(((0, 1), (1, 2)), 2), _is_cycle_factorization(((1, 2), (0, 1)), 2)
+    (True, False)
     """
-    starts: list[list[int]] = [[] for _ in range(n + 1)]  # right ends leaving each point, in order
-    inner = [n + 1] * (n + 1)  # the last (so the least) left end arriving at each point
-    for left, right in arcs:
-        if (starts[left] and starts[left][-1] <= right) or inner[right] <= left or starts[right]:
-            return False
-        starts[left].append(right)
-        inner[right] = left
-    open_ends = [n + 1]  # right ends of the arcs open over the sweep, falling towards the top
-    for x, out in enumerate(starts):
-        while open_ends[-1] == x:
-            open_ends.pop()
-        if out and open_ends[-1] < out[0]:  # out falls, so its first arc is the one to check
-            return False
-        open_ends += out
-    return True
+    perm = list(range(n + 1))
+    for a, b in arcs:
+        perm[a], perm[b] = perm[b], perm[a]
+    return perm == [*range(1, n + 1), 0]
 
 
 def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
@@ -180,10 +170,12 @@ def to_arcs(basis: Sequence[Root]) -> ArcDiagram:
 
 
 def from_arcs(diagram: ArcDiagram) -> Basis:
-    """The basis of an arc diagram, after checking conditions (1)-(4)."""
+    """The basis of an arc diagram: the cycle product accepts, conditions (1)-(4) name a rejection."""
     if len(diagram.arcs) != diagram.rank:
         raise BasisError("length", f"expected {diagram.rank} arcs, got {len(diagram.arcs)}")
-    _check_arcs(diagram.arcs)
+    if not _is_cycle_factorization(diagram.arcs, diagram.rank):
+        _check_arcs(diagram.arcs)
+        raise RuntimeError(f"the product rejects {diagram.arcs}, which the arc rules accept")
     return tuple(Root(left + 1, right, diagram.rank) for left, right in diagram.arcs)
 
 

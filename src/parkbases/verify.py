@@ -214,30 +214,36 @@ def check_ext_formula(n: int) -> None:
                     raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
 
 
-def _arc_rules_hold(tup: tuple[roots.Root, ...]) -> bool:
+def _accepts(check: Callable, arg) -> bool:
     try:
-        dbasis.from_arcs(dbasis.to_arcs(tup))
+        check(arg)
         return True
     except dbasis.BasisError:
         return False
 
 
 def check_exceptional_matches_validate(n: int) -> None:
-    # Exceptional sequences, triangular Seifert bases (`validate_basis`) and the
-    # arc rules (1)-(4) of `from_arcs` select the same ordered tuples.
+    # Exceptional sequences, triangular Seifert bases (`validate_basis`), the pairwise arc
+    # rules (1)-(4) read directly and `from_arcs` (the cycle product) select the same tuples.
     size = min(n, 4)  # exhaustive tuple space; larger ranks are covered via bases
     all_roots = list(roots.positive_roots(size))
     for tup in itertools.product(all_roots, repeat=size):
         valid = dbasis.is_basis(tup, size)
         if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != valid:
             raise CheckFailure({"roots": [r.as_pair() for r in tup]})
-        if _arc_rules_hold(tup) != valid:
+        diagram = dbasis.to_arcs(tup)
+        if _accepts(dbasis._check_arcs, diagram.arcs) != valid:
             raise CheckFailure({"roots": [r.as_pair() for r in tup], "arc_rules": not valid})
+        if _accepts(dbasis.from_arcs, diagram) != valid:
+            raise CheckFailure({"roots": [r.as_pair() for r in tup], "from_arcs": not valid})
     for basis in dbasis.distinguished_bases(n):
         if not quiver.is_exceptional_sequence(quiver.modules_of(basis)):
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
-        if not _arc_rules_hold(basis):
+        diagram = dbasis.to_arcs(basis)
+        if not _accepts(dbasis._check_arcs, diagram.arcs):
             raise CheckFailure({"basis": [r.as_pair() for r in basis], "arc_rules": False})
+        if not _accepts(dbasis.from_arcs, diagram):
+            raise CheckFailure({"basis": [r.as_pair() for r in basis], "from_arcs": False})
 
 
 def check_hom_ext_table(n: int) -> None:

@@ -178,6 +178,32 @@ def test_combine_matches_coefficient_vector(n):
                     assert _combine(a, s, b) == expected
 
 
+def _apply(t, x):
+    """The transposition t = (a, b) applied to the point x."""
+    a, b = t
+    return b if x == a else a if x == b else x
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_left_mutation_is_the_hurwitz_move(n):
+    # Read [lo, hi] as the transposition t = (lo - 1, hi).  Every basis multiplies to the cycle
+    # (0 1 ... n), and alpha_k maps (t_k, t_{k+1}) to (t_{k+1}, t_{k+1} t_k t_{k+1}): an oracle
+    # for the mutation that reads no Seifert value.
+    for basis in all_bases(n):
+        factors = [(r.lo - 1, r.hi) for r in basis]
+        product = []
+        for x in range(n + 1):
+            for t in reversed(factors):  # t_1 t_2 ... t_n, the rightmost factor acting first
+                x = _apply(t, x)
+            product.append(x)
+        assert product == [*range(1, n + 1), 0], basis
+        for k in range(1, n):
+            earlier, later = factors[k - 1], factors[k]
+            conjugate = tuple(sorted(_apply(later, x) for x in earlier))
+            moved = [(r.lo - 1, r.hi) for r in mutate(basis, k, "left")]
+            assert moved == factors[: k - 1] + [later, conjugate] + factors[k + 1 :], (basis, k)
+
+
 def test_generator_order_values():
     assert generator_order(simple_roots(2), 1) == 3
     assert generator_order(basis_of_pairs([(1, 1), (3, 3), (2, 3)], 3), 1) == 2

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from parkbases import dbasis, linalg, verify
+from parkbases import dbasis, linalg
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.dbasis import (
     ArcDiagram,
@@ -51,15 +51,29 @@ def test_validate_rejects_crossing_supports():
 
 
 def test_validate_never_accepts_what_the_sweep_rejects(monkeypatch):
-    # A sweep that rejects a valid basis leaves the pairwise scan no pair to report.
-    monkeypatch.setattr(dbasis, "_arcs_nest", lambda arcs, n: False)
-    with pytest.raises(RuntimeError, match="arc sweep rejects"):
-        validate_basis(reconstruct((2, 2, 1)))
+    # A cycle product that rejects a valid basis leaves the Seifert scan and the arc rules
+    # nothing to name.
+    basis = reconstruct((2, 2, 1))
+    monkeypatch.setattr(dbasis, "_is_cycle_factorization", lambda arcs, n: False)
+    with pytest.raises(RuntimeError, match=r"^the product rejects .*, which the Seifert scan accepts$"):
+        validate_basis(basis)
+    with pytest.raises(RuntimeError, match=r"^the product rejects .*, which the arc rules accept$"):
+        from_arcs(to_arcs(basis))
+
+
+def _rejection(fn, *args):
+    """(code, detail, message) of the BasisError that fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except BasisError as err:
+        return err.code, err.detail, str(err)
+    return None
 
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_validate_agrees_with_the_pairwise_scan_on_near_misses(n):
-    # The sweep decides acceptance; every pair's Seifert value is the reference.
+    # The cycle product decides acceptance; every pair's Seifert value, and the pairwise
+    # arc rules for `from_arcs`, are the reference.
     rng = random.Random(n)
     for _ in range(100):
         basis = list(reconstruct(random_parking(rng, n)))
@@ -73,6 +87,10 @@ def test_validate_agrees_with_the_pairwise_scan_on_near_misses(n):
         if code != "dependent":
             triangular = all(seifert(basis[j], basis[i]) == 0 for j in range(n) for i in range(j))
             assert (code is None) == triangular, basis
+        diagram = to_arcs(basis)
+        rules = _rejection(dbasis._check_arcs, diagram.arcs)
+        assert _rejection(from_arcs, diagram) == rules, basis
+        assert (rules is None) == (code is None), basis
 
 
 def test_validate_priority_length_first():
@@ -249,11 +267,6 @@ def test_golden_list_a3():
     ]
     expected = {basis_of_pairs(pairs, 3) for pairs in raw}
     assert set(all_bases(3)) == expected
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_validate_accepts_enumeration(n):
-    verify.check_validate_accepts(n)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
