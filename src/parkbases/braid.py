@@ -192,7 +192,12 @@ class OrbitGraph:
 
 
 def orbit_graph(n: int) -> OrbitGraph:
-    """The action graph of all generators on the parking functions of n cars."""
+    """The action graph of all generators on the parking functions of n cars.
+
+    The basis `reconstruct(f)` has initial vector f, and alpha_k changes only its
+    roots k and k+1, so the image of f differs from f only at entries k and k+1:
+    each edge reads the left ends of one mutated pair, not a whole mutated basis.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     nodes = tuple(parking_functions(n))
@@ -200,7 +205,8 @@ def orbit_graph(n: int) -> OrbitGraph:
     for f in nodes:
         basis = reconstruct(f)
         for k in range(1, n):
-            alpha[(f, k)] = initial_vector(mutate(basis, k, "left"))
+            b, c = _mutated_pair(basis[k - 1], basis[k], "left")
+            alpha[(f, k)] = f[: k - 1] + (b.lo, c.lo) + f[k + 1 :]
     return OrbitGraph(n, nodes, alpha)
 
 

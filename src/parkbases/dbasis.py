@@ -26,6 +26,9 @@ in `validate_basis` and `from_arcs`; the Seifert scan and arc rules name rejecti
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
 points inside it, points[i:j] (`_split`, also read by `right_orthogonal_basis`).
+The ways to interleave the two sub-bases depend only on the number of points t
+and of outside roots m, so `_gathers` caches them per (t, m): a pure table, shared
+by every call and thread.
 What an arc becomes is the caller's choice: `_point_bases` yields tuples of
 leaf(a, b), so `distinguished_bases` shares one `Root` per arc and call, and the
 CLI lists the arcs' JSON texts without building a root.
@@ -152,8 +155,8 @@ def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
                 "arc2", f"arcs {i + 1}, {j + 1} share a right end out of order", (i + 1, j + 1)
             )
     for i in range(n):
-        for j in range(n):
-            if i != j and arcs[i][1] == arcs[j][0] and not i < j:
+        for j in range(i):
+            if arcs[i][1] == arcs[j][0]:
                 raise BasisError(
                     "arc3", f"arc {i + 1} ends where arc {j + 1} begins", (i + 1, j + 1)
                 )
@@ -247,31 +250,47 @@ def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], ob
 
     Pick the head arc (p_i, p_j), enumerate the points outside and inside it
     (`_split`), and interleave the two bases order-preservingly: each interleaving
-    is one gather from (head, *sub1, *sub2).
+    is one gather from (head, *sub1, *sub2), read from `_gathers`, a pure table
+    cached per (t, m).
+    With nothing inside (j = i + 1) the one interleaving is (head, *sub1) itself.
     """
     for i in range(t):
         for j in range(i + 1, t + 1):
             head = leaf(points[i], points[j])
             outside, inside = _split(points, i, j)
-            m = len(outside) - 1  # the outside roots sit at indices 1..m of (head, *sub1, *sub2)
-            # An interleaving puts the root at index k + 1 at basis position taken[k], and the
-            # root at index m + p - k at each position p between taken[k - 1] and taken[k].  With
-            # nothing inside, taking no position gives the one (identity) gather in O(1) steps.
-            gathers = []
-            for taken in itertools.combinations(range(1, t), m if len(inside) > 1 else 0):
-                index = [0]
-                p = 1  # the first position not yet filled
-                for k, pos in enumerate(taken):
-                    index += range(m + p - k, m + pos - k)
-                    index.append(k + 1)
-                    p = pos + 1
-                index += range(p, t)
-                gathers.append(operator.itemgetter(*index))
+            if j == i + 1:
+                for sub1 in _point_bases(outside, leaf):
+                    yield (head, *sub1)
+                continue
+            gathers = _gathers(t, len(outside) - 1)
             for sub1 in _point_bases(outside, leaf):
                 for sub2 in _point_bases(inside, leaf):
                     roots = (head, *sub1, *sub2)
                     for gather in gathers:
                         yield gather(roots)
+
+
+@functools.cache
+def _gathers(t: int, m: int) -> tuple[Callable[[tuple], tuple], ...]:
+    """The interleavings of m outside roots with t - 1 - m >= 1 inside roots, in basis order.
+
+    A pure function of (t, m), so one table of at most 2^(t-1) getters serves every call,
+    head and thread.  The interleaving that takes the basis positions `taken` (1-based,
+    increasing) for the outside roots at indices 1..m of (head, *sub1, *sub2) puts the root
+    at index k + 1 at position taken[k], and the root at index m + p - k at each position p
+    between taken[k - 1] and taken[k].
+    """
+    gathers = []
+    for taken in itertools.combinations(range(1, t), m):
+        index = [0]
+        p = 1  # the first position not yet filled
+        for k, pos in enumerate(taken):
+            index += range(m + p - k, m + pos - k)
+            index.append(k + 1)
+            p = pos + 1
+        index += range(p, t)
+        gathers.append(operator.itemgetter(*index))
+    return tuple(gathers)
 
 
 def distinguished_bases(n: int) -> Iterator[Basis]:

@@ -178,21 +178,31 @@ def from_dyck(path: DyckPath) -> tuple[int, ...]:
 def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All parking functions on n cars, in lexicographic order.
 
-    There are (n+1)^(n-1) of them.  An odometer: each step raises the rightmost
-    entry that can still grow by one and resets the tail to 1s.  With a tail of
-    1s, raising f[i] from v to v + 1 lowers only the count of values <= v, so
-    that one count decides the step, and it may stop once it reaches v; it
-    fails for every v >= n.
+    There are (n+1)^(n-1) of them.  After a head f[:n-1], the valid last entries
+    are exactly 1..top, where top is the least k with fewer than k head values
+    <= k (at most n, as the head holds n - 1 values), so the last entry runs over
+    that range.  The heads come from an odometer: each step raises the rightmost
+    head entry that can still grow by one and resets the entries after it, the
+    last one included, to 1s.  With a tail of 1s, raising f[i] from v to v + 1
+    lowers only the count of values <= v, so that one count decides the step, and
+    it may stop once it reaches v; it fails for every v >= n.
 
     >>> list(parking_functions(2))
     [(1, 1), (1, 2), (2, 1)]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    f = [1] * n
+    f = [1] * (n - 1)  # the head
     while True:
-        yield tuple(f)
-        i = n - 1
+        top = 1
+        for x in sorted(f):  # the k-th smallest head value is <= k for every k < top
+            if x > top:
+                break
+            top += 1
+        head = tuple(f)
+        for v in range(1, top + 1):
+            yield head + (v,)
+        i = n - 2
         while i >= 0:
             v = f[i]
             if v < n:
@@ -207,7 +217,7 @@ def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
         if i < 0:
             return
         f[i] += 1
-        f[i + 1 :] = [1] * (n - 1 - i)
+        f[i + 1 :] = [1] * (n - 2 - i)
 
 
 def nondecreasing_parking_functions(n: int) -> Iterator[tuple[int, ...]]:

@@ -252,6 +252,15 @@ def test_orbit_graph_rank3_matches_reference_picture():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_edges_are_the_full_mutation(n):
+    # The graph reads two entries of each image; the whole mutated basis is the oracle.
+    graph = orbit_graph(n)
+    for f in graph.nodes:
+        for k in range(1, n):
+            assert graph.alpha[(f, k)] == mutate_parking(f, k, "left")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_graph_counts_and_transitivity(n):
     graph = orbit_graph(n)
     assert len(graph.nodes) == (n + 1) ** (n - 1)

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -151,6 +153,16 @@ def test_from_arcs_rejects_bad_orderings():
     assert err.value.code in {"arc1", "arc2", "arc3", "arc4"}
 
 
+def test_from_arcs_names_the_first_touching_arc_out_of_order():
+    # Arc 3 ends where arc 2 begins and arc 4 where arc 1 begins: the later arc with the
+    # smaller label is named first.
+    with pytest.raises(BasisError) as err:
+        from_arcs(ArcDiagram(((3, 4), (1, 2), (0, 1), (2, 3)), 4))
+    assert (err.value.code, err.value.detail, str(err.value)) == (
+        "arc3", (3, 2), "arc 3 ends where arc 2 begins"
+    )
+
+
 def test_gap_identity_basis():
     basis = simple_roots(5)
     for i in range(1, 6):
@@ -240,6 +252,31 @@ def test_library_bases_at_n6_are_the_cli_golden_and_share_21_roots():
         1142876, "fd90d9d947d6944e7d919d1ada6edaab0906835484aad877b37c4939efbedcb6"
     )
     assert len(roots) <= 21
+
+
+def test_enumeration_is_thread_safe_from_an_empty_interleaving_cache():
+    # More threads than cores, switching often, all filling the interleaving cache at once.
+    serial = list(distinguished_bases(5))
+    dbasis._gathers.cache_clear()
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def run(slot):
+        barrier.wait()
+        results[slot] = list(distinguished_bases(5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
 
 
 def test_first_basis_at_depth_600():
