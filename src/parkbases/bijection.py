@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .parking import ParkingDiagram, is_parking, to_diagram
+from .parking import ParkingDiagram, _checked, to_diagram
 from .roots import Basis, Root
 
 
@@ -63,9 +63,7 @@ def reconstruct(f: Sequence[int]) -> Basis:
     >>> [str(r) for r in reconstruct((2, 2, 1))]
     ['e[2,3]', 'e[2,2]', 'e[1,3]']
     """
-    f = tuple(f)
-    if not is_parking(f):
-        raise ValueError(f"{f} is not a parking function")
+    f = _checked(f)
     n = len(f)
     order = sorted(range(n), key=f.__getitem__)  # stable: rows by (f[k], k)
     stops = _stops([k + 1 for k in order], [f[k] - 1 for k in order])

@@ -18,9 +18,8 @@ import dataclasses
 from typing import Iterator, Literal, Sequence
 
 from .bijection import initial_vector, ray_stops, reconstruct
-from .parking import (
-    ParkingDiagram, from_diagram, nondecreasing_parking_functions, parking_functions, to_diagram,
-)
+from .dbasis import distinguished_bases
+from .parking import ParkingDiagram, from_diagram, nondecreasing_parking_functions, to_diagram
 from .roots import Basis, Root, seifert
 
 Direction = Literal["left", "right"]
@@ -194,20 +193,21 @@ class OrbitGraph:
 def orbit_graph(n: int) -> OrbitGraph:
     """The action graph of all generators on the parking functions of n cars.
 
-    The basis `reconstruct(f)` has initial vector f, and alpha_k changes only its
-    roots k and k+1, so the image of f differs from f only at entries k and k+1:
-    each edge reads the left ends of one mutated pair, not a whole mutated basis.
+    One `distinguished_bases(n)` pass yields each node f = initial_vector(basis) with its
+    basis; the nodes come back sorted, the order of `parking_functions(n)`.  alpha_k changes
+    only roots k and k+1, so each edge reads the left ends of one mutated pair.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    nodes = tuple(parking_functions(n))
+    nodes = []
     alpha: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for f in nodes:
-        basis = reconstruct(f)
+    for basis in distinguished_bases(n):
+        f = initial_vector(basis)
+        nodes.append(f)
         for k in range(1, n):
             b, c = _mutated_pair(basis[k - 1], basis[k], "left")
             alpha[(f, k)] = f[: k - 1] + (b.lo, c.lo) + f[k + 1 :]
-    return OrbitGraph(n, nodes, alpha)
+    return OrbitGraph(n, tuple(sorted(nodes)), alpha)
 
 
 Young = tuple[int, ...]

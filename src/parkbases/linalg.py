@@ -41,7 +41,9 @@ def rank(rows: list[list[int]]) -> int:
 
 
 def nullity(rows: list[list[int]], nvars: int) -> int:
-    """Dimension of the solution space of the homogeneous system rows * x = 0."""
-    if nvars == 0:
-        return 0
+    """Dimension of the solution space of the homogeneous system rows * x = 0.
+
+    >>> nullity([], 0) == nullity([[]], 0) == 0
+    True
+    """
     return nvars - rank(rows)

@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 from typing import Iterator, Sequence
 
-from .dbasis import to_arcs
+from .dbasis import _is_cycle_factorization
 from .roots import Basis, Root
 
 Block = tuple[int, ...]
@@ -180,13 +180,15 @@ def stanley_labels(chain: NCChain) -> tuple[int, ...]:
 
 
 def partition_chain(basis: Sequence[Root]) -> NCChain:
-    """The chain of connected-component partitions of the first k arcs of a basis."""
-    arcs = to_arcs(basis)
-    owner = list(range(arcs.rank + 1))  # point -> minimum of its block
+    """The chain of connected-component partitions of the first k arcs (lo - 1, hi) of a basis."""
+    n = basis[0].rank if basis else 0
+    owner = list(range(n + 1))  # point -> minimum of its block
     blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
     merges = []
-    for left, right in arcs.arcs:
-        m, m_prime = sorted((owner[left], owner[right]))
+    for r in basis:
+        if r.hi > n:  # a root of a larger rank than the first
+            raise ValueError(f"arc ({r.lo - 1}, {r.hi}) out of range for rank {n}")
+        m, m_prime = sorted((owner[r.lo - 1], owner[r.hi]))
         if m == m_prime:
             raise ValueError("arcs of a basis never close a cycle")
         label = _nested_label(owner, blocks, m, m_prime)
@@ -195,14 +197,22 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
             NCPartition(tuple(blocks.values()))  # raises "blocks X and Y cross"
             raise RuntimeError(f"the gap test rejects joining {b_prime}, which NCPartition accepts")
         merges.append((label, b_prime[-1]))
-    if len(merges) != arcs.rank:  # too few arcs
-        raise ValueError(f"a maximal chain on {{0..{arcs.rank}}} has {arcs.rank + 1} partitions")
+    if len(merges) != n:  # too few arcs
+        raise ValueError(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
     return NCChain(tuple(merges))
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
-    """The basis whose arc components realise the chain (inverse of partition_chain)."""
-    return tuple(Root(label + 1, top, chain.n) for label, top in chain.merges)
+    """The roots [label + 1, top] of the merges (inverse of partition_chain).
+
+    The merges form a maximal chain exactly when, as arcs, they multiply to (0 1 ... n) (`dbasis`).
+    """
+    n, merges = chain.n, chain.merges
+    in_range = all(type(a) is type(b) is int and 0 <= a < b <= n for a, b in merges)
+    if in_range and _is_cycle_factorization(merges, n):
+        return tuple(Root(label + 1, top, n) for label, top in merges)
+    chain.partitions  # raises the ValueError that names the first bad step
+    raise RuntimeError(f"the product rejects {merges}, which the chain replay accepts")
 
 
 def maximal_chains(n: int) -> Iterator[NCChain]:

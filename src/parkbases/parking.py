@@ -152,14 +152,10 @@ def to_dyck(values: Sequence[int]) -> DyckPath:
     f = _checked(values)
     if any(f[i] > f[i + 1] for i in range(len(f) - 1)):
         raise ValueError(f"{f} is not non-decreasing")
-    diagram = to_diagram(f)
     steps: list[tuple[int, int]] = []
-    x = 0
-    for length in diagram.lengths:
-        steps.extend([EAST] * (length - x))
-        steps.append(NORTH)
-        x = length
-    steps.extend([EAST] * (diagram.n - x))
+    for prev, v in zip((1, *f), f):  # f is sorted: its rows bottom-up have lengths v - 1
+        steps += [EAST] * (v - prev) + [NORTH]
+    steps += [EAST] * (len(f) + 1 - max(f, default=1))
     return DyckPath(tuple(steps))
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 from . import linalg
 from .bijection import ray_stops
 from .parking import to_diagram
-from .roots import Root, seifert
+from .roots import Root, _check_ranks, seifert
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -58,11 +58,6 @@ def modules_of(basis: Sequence[Root]) -> tuple[IntervalModule, ...]:
     return tuple(IntervalModule(r) for r in basis)
 
 
-def _check(v: IntervalModule, w: IntervalModule) -> None:
-    if v.rank != w.rank:
-        raise ValueError(f"rank mismatch: {v.rank} != {w.rank}")
-
-
 def euler(v: IntervalModule, w: IntervalModule) -> int:
     """The Euler form dim Hom - dim Ext^1, equal to the Seifert form on roots."""
     return seifert(v.root, w.root)
@@ -75,8 +70,7 @@ def hom_dim(v: IntervalModule, w: IntervalModule) -> int:
     left end and injections when they share their right end.
     """
     a, b = v.root, w.root
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} != {b.rank}")
+    _check_ranks(a, b)
     return 1 if b.lo <= a.lo <= b.hi <= a.hi else 0
 
 
@@ -95,7 +89,7 @@ def _intertwiner(v: IntervalModule, w: IntervalModule) -> tuple[list[list[int]],
     Unknowns are the scalars phi_i where V_i and W_i are nonzero; each arrow
     i -> i+1 with V_i and W_{i+1} nonzero gives one row, zero rows included.
     """
-    _check(v, w)
+    _check_ranks(v.root, w.root)
     vdims, wdims = v.space_dims(), w.space_dims()
     unknowns = [i for i in range(1, v.rank + 1) if vdims[i - 1] and wdims[i - 1]]
     rows = [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkbases import verify
+from parkbases import braid
 from parkbases.bijection import reconstruct
 from parkbases.braid import (
     _combine,
@@ -22,7 +22,7 @@ from parkbases.braid import (
     young_diagrams,
 )
 from parkbases.dbasis import validate_basis
-from parkbases.parking import catalan, from_diagram, to_diagram
+from parkbases.parking import catalan, from_diagram, parking_functions, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
 from helpers import all_bases, all_pfs, basis_of_pairs
@@ -209,11 +209,6 @@ def test_generator_order_values():
     assert generator_order(basis_of_pairs([(1, 1), (3, 3), (2, 3)], 3), 1) == 2
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_generator_order_matches_iteration(n):
-    verify.check_braid_axioms(n)
-
-
 def test_diagram_mutation_plain_swap_case():
     # adjacent roots [1,1] and [3,3] interact trivially: both directions swap labels
     f = (1, 1, 1, 3)
@@ -260,6 +255,15 @@ def test_orbit_edges_are_the_full_mutation(n):
             assert graph.alpha[(f, k)] == mutate_parking(f, k, "left")
 
 
+def test_orbit_graph_reads_bases_off_the_enumeration(monkeypatch):
+    def refuse(f):
+        raise AssertionError("orbit_graph rebuilds a basis from its parking function")
+
+    monkeypatch.setattr(braid, "reconstruct", refuse)
+    for n in range(2, 7):
+        assert orbit_graph(n).nodes == tuple(parking_functions(n))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_graph_counts_and_transitivity(n):
     graph = orbit_graph(n)
@@ -302,11 +306,6 @@ def test_flips_stay_in_staircase_and_reverse(n):
             validate_young(flipped, n)
             if flipped != young:
                 assert any(flip_row(flipped, j) == young for j in range(1, n + 1))
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_braid_moves_are_single_flips(n):
-    verify.check_flips(n)
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from parkbases import noncrossing, verify
+from parkbases import dbasis, noncrossing, verify
 from parkbases.bijection import reconstruct
 from parkbases.noncrossing import (
     NCChain,
@@ -87,6 +87,11 @@ def test_partition_chain_rejects_too_few_roots():
         partition_chain((Root(1, 1, 3), Root(2, 2, 3)))
 
 
+def test_partition_chain_rejects_a_root_of_larger_rank():
+    with pytest.raises(ValueError, match=f"^{re.escape('arc (0, 3) out of range for rank 1')}$"):
+        partition_chain((Root(1, 1, 1), Root(1, 3, 3)))
+
+
 def test_chains_and_bases_need_no_trial_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("no partition is built on this path")
@@ -98,6 +103,40 @@ def test_chains_and_bases_need_no_trial_partition(monkeypatch):
         for basis in all_bases(n):
             chain = partition_chain(basis)
             assert chain_to_basis(chain) == basis and len(stanley_labels(chain)) == n
+
+
+def test_partition_chain_builds_no_arc_diagram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partition_chain builds an ArcDiagram")
+
+    monkeypatch.setattr(dbasis, "ArcDiagram", refuse)
+    for n in range(1, 5):
+        for basis in all_bases(n):
+            assert chain_to_basis(partition_chain(basis)) == basis
+
+
+def test_chain_to_basis_rejects_what_partitions_rejects():
+    # The hand-built merges of test_chain_validation, with the messages `partitions` raises.
+    not_a_merge = "is not the merge of a maximal chain"
+    cases = [
+        (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),
+        (((1, 0),), f"step 1: (1, 0) {not_a_merge}"),
+        (((0, True),), f"step 1: (0, True) {not_a_merge}"),
+        (((0, 2), (1, 2)), f"step 2: (1, 2) {not_a_merge}"),
+        (((0, 1), (0, 2)), f"step 2: (0, 2) {not_a_merge}"),
+        (((0, 1), (0, 1)), f"step 2: (0, 1) {not_a_merge}"),
+        (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),
+        (((0, 2), (1, 3), (0, 1)), "blocks (1, 3) and (0, 2) cross"),
+    ]
+    for merges, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chain_to_basis(NCChain(merges))
+
+
+def test_chain_product_rejection_is_never_overruled(monkeypatch):
+    monkeypatch.setattr(noncrossing, "_is_cycle_factorization", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        chain_to_basis(NCChain(((0, 1), (1, 2))))  # the replay accepts it
 
 
 def test_gap_test_rejection_is_never_overruled(monkeypatch):

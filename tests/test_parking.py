@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases import parking
 from parkbases.braid import young_diagrams
 from parkbases.parking import (
     DyckPath,
@@ -122,6 +123,16 @@ def test_dyck_round_trip_exhaustive(n):
         assert from_dyck(path) == f
         seen.add(path.steps)
     assert len(seen) == catalan(n)
+
+
+def test_dyck_builds_no_diagram(monkeypatch):
+    def refuse(values):
+        raise AssertionError("to_dyck builds a ParkingDiagram")
+
+    monkeypatch.setattr(parking, "to_diagram", refuse)
+    for n in range(1, 8):
+        for f in nondecreasing_parking_functions(n):
+            assert from_dyck(to_dyck(f)) == f
 
 
 def test_dyck_requires_monotone():
