@@ -199,7 +199,7 @@ def cmd_enumerate(args) -> None:
         _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
         return
     head, tail, join = f'{{"{field}": [', f'], "n": {n}}}\n', ", ".join
-    try:  # the bases and chains enumerators recurse to depth n before their first item
+    try:  # before their first item, the bases enumerator recurses to depth n - 5 and chains to depth n
         _emit(args, (head + join(texts) + tail for texts in items(n)))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc

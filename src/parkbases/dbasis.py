@@ -29,6 +29,11 @@ points inside it, points[i:j] (`_split`, also read by `right_orthogonal_basis`).
 The ways to interleave the two sub-bases depend only on the number of points t
 and of outside roots m, so `_gathers` caches them per (t, m): a pure table, shared
 by every call and thread.
+The bases of t + 1 points likewise depend on t alone, so for t <= 5 `_point_bases`
+reads them from `_table(t)` instead of recursing: 1,440 gathers over t = 2..5, built
+once by the recursion itself.  Below that bound lie most generator frames and the
+inside enumerations rebuilt for every outside basis, about three quarters of the time
+of an n = 6 listing, so a listing recurses only to depth n - 5.
 What an arc becomes is the caller's choice: `_point_bases` yields tuples of
 leaf(a, b), so `distinguished_bases` shares one `Root` per arc and call, and the
 CLI lists the arcs' JSON texts without building a root.
@@ -41,7 +46,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .roots import Basis, Root, seifert
+from .roots import Basis, Root, _check_ranks, seifert
 
 
 class BasisError(ValueError):
@@ -168,8 +173,10 @@ def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
 def to_arcs(basis: Sequence[Root]) -> ArcDiagram:
     """The arc diagram of a basis: root [lo, hi] becomes the arc (lo - 1, hi)."""
     basis = tuple(basis)
-    rank = basis[0].rank if basis else 0
-    return ArcDiagram(tuple((r.lo - 1, r.hi) for r in basis), rank)
+    diagram = ArcDiagram(tuple((r.lo - 1, r.hi) for r in basis), basis[0].rank if basis else 0)
+    for r in basis:  # after the range check, as in `noncrossing.partition_chain`
+        _check_ranks(basis[0], r)
+    return diagram
 
 
 def from_arcs(diagram: ArcDiagram) -> Basis:
@@ -237,12 +244,34 @@ def _point_bases(points: tuple[int, ...], leaf: Callable[[int, int], object]) ->
     """All bases whose roots are the arcs between the axis points p_0 < ... < p_t.
 
     Each basis is a tuple of leaf(a, b), one for each of its arcs (a, b).  With t <= 1
-    the one basis comes back inside a tuple, not from a new generator.
+    the one basis comes back inside a tuple, not from a new generator; with t <= 5 the
+    bases come back as a list gathered through `_table(t)`.
     """
     t = len(points) - 1
     if t <= 1:  # no roots, or the one arc (p_0, p_1): a gather of one index gives no tuple
         return ((leaf(points[0], points[1]),) if t else (),)
+    if t <= _TABLED:
+        arcs = [leaf(a, b) for a, b in itertools.combinations(points, 2)]
+        return [gather(arcs) for gather in _table(t)]
     return _headed_bases(points, t, leaf)
+
+
+_TABLED = 5  # the largest t that `_point_bases` reads from `_table`
+
+
+@functools.cache
+def _table(t: int) -> tuple[Callable[[Sequence], tuple], ...]:
+    """The bases of t + 1 points as gathers from their t(t+1)/2 arcs (p_x, p_y), x < y, in that order.
+
+    The bases depend on t alone, up to relabelling the points, so `_headed_bases` on the points
+    0..t with each arc's index as its leaf lists them once; this table is its memo.
+
+    >>> len(_table(4)), _table(2)[0](["(p0, p1)", "(p0, p2)", "(p1, p2)"])
+    (125, ('(p0, p1)', '(p1, p2)'))
+    """
+    points = tuple(range(t + 1))
+    index = {arc: k for k, arc in enumerate(itertools.combinations(points, 2))}
+    return tuple(operator.itemgetter(*basis) for basis in _headed_bases(points, t, lambda a, b: index[a, b]))
 
 
 def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:

@@ -21,7 +21,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .dbasis import _is_cycle_factorization
-from .roots import Basis, Root
+from .roots import Basis, Root, _check_ranks
 
 Block = tuple[int, ...]
 
@@ -188,6 +188,7 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
     for r in basis:
         if r.hi > n:  # a root of a larger rank than the first
             raise ValueError(f"arc ({r.lo - 1}, {r.hi}) out of range for rank {n}")
+        _check_ranks(basis[0], r)
         m, m_prime = sorted((owner[r.lo - 1], owner[r.hi]))
         if m == m_prime:
             raise ValueError("arcs of a basis never close a cycle")

@@ -481,9 +481,10 @@ def test_enumerate_out_file_matches_stdout(argv, size, sha, tmp_path, monkeypatc
 
 
 def test_enumerate_memory_stays_flat(monkeypatch):
-    # The bases run starts from an empty interleaving cache, so its peak counts the cache too.
+    # The bases run starts from empty interleaving and basis tables, so its peak counts them too.
     for kind, size in [("pf", 571438), ("bases", 1142876)]:  # all 16,807 lines of each
         dbasis._gathers.cache_clear()
+        dbasis._table.cache_clear()
         sink = _WriteOnly()
         monkeypatch.setattr("sys.stdout", sink)
         tracemalloc.start()

@@ -258,6 +258,7 @@ def test_enumeration_is_thread_safe_from_an_empty_interleaving_cache():
     # More threads than cores, switching often, all filling the interleaving cache at once.
     serial = list(distinguished_bases(5))
     dbasis._gathers.cache_clear()
+    dbasis._table.cache_clear()
     barrier = threading.Barrier(4, timeout=30)
     results = [None] * 4
 
@@ -279,9 +280,45 @@ def test_enumeration_is_thread_safe_from_an_empty_interleaving_cache():
     assert results == [serial] * 4
 
 
-def test_first_basis_at_depth_600():
-    # The first head at every depth is the arc (p_0, p_1), so the simple roots come first.
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_basis_table_is_the_memo_of_the_recursion(t):
+    points = (1, 2, 4, 7, 8, 11)[: t + 1]
+    arcs = list(itertools.combinations(points, 2))
+    index = {arc: k for k, arc in enumerate(arcs)}
+    assert [gather(range(len(arcs))) for gather in dbasis._table(t)] == list(
+        dbasis._headed_bases(points, t, lambda a, b: index[a, b])
+    )
+    assert list(dbasis._point_bases(points, lambda a, b: (a, b))) == list(
+        dbasis._headed_bases(points, t, lambda a, b: (a, b))
+    )
+
+
+def test_warm_tables_list_n5_without_the_recursion(monkeypatch):
+    serial = list(distinguished_bases(5))
+    for t in range(2, 6):
+        dbasis._table(t)
+
+    def refuse(*args):
+        raise AssertionError("t <= 5 reads the table")
+
+    monkeypatch.setattr(dbasis, "_headed_bases", refuse)
+    assert list(distinguished_bases(5)) == serial and len(serial) == 1296
+
+
+def test_first_basis_at_depth_600(monkeypatch):
+    # The first head at every depth is the arc (p_0, p_1), so the simple roots come first,
+    # and neither cache grows past the table bound t <= 5 on the way down.
+    dbasis._table.cache_clear()
+    keys, gathers = [], dbasis._gathers
+
+    def record(t, m):
+        keys.append((t, m))
+        return gathers(t, m)
+
+    monkeypatch.setattr(dbasis, "_gathers", record)
     assert next(distinguished_bases(600)) == simple_roots(600)
+    assert dbasis._table.cache_info().currsize <= 4
+    assert keys and all(t <= 5 for t, _ in keys)
 
 
 def test_golden_list_a2():

@@ -92,6 +92,13 @@ def test_partition_chain_rejects_a_root_of_larger_rank():
         partition_chain((Root(1, 1, 1), Root(1, 3, 3)))
 
 
+@pytest.mark.parametrize("read", [partition_chain, dbasis.to_arcs])
+def test_roots_of_mixed_ranks_are_rejected(read):
+    # The right ends fit the first rank, so only the rank comparison can reject the tuple.
+    with pytest.raises(ValueError, match=f"^{re.escape('rank mismatch: 2 != 1')}$"):
+        read((Root(1, 2, 2), Root(1, 1, 1)))
+
+
 def test_chains_and_bases_need_no_trial_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("no partition is built on this path")
