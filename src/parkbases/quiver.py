@@ -35,11 +35,17 @@ from .roots import Root, _check_ranks, seifert
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class IntervalModule:
-    """The indecomposable representation supported on the interval of `root`."""
+    """The indecomposable representation supported on the interval of `root`.
+
+    Built like `Root`: the constructor stores its field through the slot setter.
+    """
 
     root: Root
+
+    def __init__(self, root: Root):
+        _set_root(self, root)
 
     @property
     def rank(self) -> int:
@@ -52,6 +58,9 @@ class IntervalModule:
     def arrow(self, i: int) -> int:
         """The scalar map along the arrow i -> i+1 (identity inside the interval)."""
         return 1 if self.root.lo <= i and i + 1 <= self.root.hi else 0
+
+
+_set_root = IntervalModule.root.__set__
 
 
 def modules_of(basis: Sequence[Root]) -> tuple[IntervalModule, ...]:

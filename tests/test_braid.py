@@ -62,6 +62,14 @@ def test_mutate_rejects_an_unknown_direction():
         mutate(simple_roots(3), 1, "up")
 
 
+@pytest.mark.parametrize("direction", ["left", "right", "up"])
+def test_mutate_checks_k_before_the_direction(direction):
+    # -1 is the letter beta_1 of a word, but never a valid k for mutate
+    for k in (-1, 0, 3):
+        with pytest.raises(ValueError, match=f"^generator index {k} out of range 1..2$"):
+            mutate(simple_roots(3), k, direction)
+
+
 def test_mutate_parking_examples():
     assert mutate_parking((1, 2, 1), 1, "left") == (2, 1, 1)
     assert mutate_parking((1, 2, 1), 2, "left") == (1, 1, 1)
@@ -106,6 +114,20 @@ def test_apply_word_inverse():
     inverse = tuple(-letter for letter in reversed(word))
     assert apply_word(apply_word(basis, word), inverse) == basis
     assert apply_word_parking((1, 2, 1), (1, -1)) == (1, 2, 1)
+
+
+def test_apply_word_reads_a_one_shot_word_once():
+    basis = reconstruct((2, 2, 1, 4))
+    assert apply_word(basis, iter((1, -1))) == basis
+    assert apply_word(basis, (letter for letter in (2, 3, -3, -2))) == basis
+    assert apply_word(iter(basis), iter((1,))) == apply_word(basis, (1,)) != basis
+
+
+def test_apply_word_reports_the_first_bad_letter():
+    basis = simple_roots(3)
+    for word, k in [((1, 3), 3), ((-2, -3, 0), 3), ((1, 0, 5), 0)]:
+        with pytest.raises(ValueError, match=f"^generator index {k} out of range 1..2$"):
+            apply_word(basis, word)
 
 
 def test_parse_word():

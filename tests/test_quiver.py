@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -34,6 +35,17 @@ def test_interval_module_materialisation():
     v = mod(2, 3, 4)
     assert v.space_dims() == (0, 1, 1, 0)
     assert [v.arrow(i) for i in range(1, 4)] == [0, 1, 0]
+
+
+def test_interval_module_is_a_frozen_value():
+    v = mod(2, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.root = Root(1, 1, 4)
+    assert v == mod(2, 3, 4) and hash(v) == hash(mod(2, 3, 4))
+    assert v != mod(2, 2, 4) and v != Root(2, 3, 4)
+    assert dataclasses.replace(v) == v
+    assert dataclasses.replace(v, root=Root(1, 1, 4)) == mod(1, 1, 4)
+    assert repr(v) == "IntervalModule(root=Root(lo=2, hi=3, rank=4))"
 
 
 def test_hom_examples():

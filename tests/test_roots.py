@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -20,6 +24,42 @@ def test_root_validation():
     with pytest.raises(ValueError):
         Root(1, 4, 3)
     assert Root(1, 3, 3).support() == range(1, 4)
+
+
+ROOT_FIELD_VALUES = (*range(-1, 5), True, 10**30)
+
+
+@pytest.mark.parametrize("rank", ROOT_FIELD_VALUES)
+def test_root_constructor_accepts_exactly_the_intervals(rank):
+    for lo, hi in itertools.product(ROOT_FIELD_VALUES, repeat=2):
+        if not 1 <= lo <= hi <= rank:
+            message = f"invalid root interval [{lo}, {hi}] in rank {rank}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Root(lo, hi, rank)
+            continue
+        r = Root(lo, hi, rank)
+        assert (r.lo, r.hi, r.rank) == (lo, hi, rank)
+        assert repr(r) == f"Root(lo={lo!r}, hi={hi!r}, rank={rank!r})"
+
+
+def test_root_behaves_like_its_field_tuple():
+    triples = [(lo, hi, rank) for rank in (1, 2, 3, 10**30) for lo in range(1, 4) for hi in range(lo, 4) if hi <= rank]
+    roots = [Root(*t) for t in triples]
+    for t, r in zip(triples, roots):
+        assert hash(r) == hash(t)
+        for field, value in zip(("lo", "hi", "rank"), t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, field, value)
+        for twin in (copy.copy(r), pickle.loads(pickle.dumps(r)), dataclasses.replace(r)):
+            assert type(twin) is Root and twin == r and hash(twin) == hash(r)
+        assert dataclasses.replace(r, lo=1) == Root(1, *t[1:])
+        with pytest.raises(ValueError, match=r"^invalid root interval \[0, "):
+            dataclasses.replace(r, lo=0)
+    for (s, a), (t, b) in itertools.product(zip(triples, roots), repeat=2):
+        assert (a == b) == (s == t)
+        assert (a < b) == (s < t)
+        assert (a <= b) == (s <= t)
+    assert sorted(roots) == [Root(*t) for t in sorted(triples)]
 
 
 def test_seifert_simple_pairs():
