@@ -12,15 +12,19 @@ beta_k is the inverse of alpha_k; the generators satisfy the braid relations.
 A braid word is a sequence of nonzero letters, +k for alpha_k and -k for
 beta_k, applied left to right.  `apply_word` is the one place the two rules
 are written; `mutate` applies the one-letter word (k,) or (-k,), and the
-orbit and arc helpers read a mutated pair off a two-root word.
+orbit and arc helpers read a mutated pair off a two-root word.  `orbit_graph`
+runs that word once per ordered pair of arcs, not once per edge: the new left
+ends of an alpha edge depend only on the pair it moves, so one table per call,
+keyed by the pair's two arc indices, serves every edge.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .bijection import initial_vector, ray_stops, reconstruct
-from .dbasis import distinguished_bases
+from .dbasis import _point_bases
 from .parking import ParkingDiagram, from_diagram, nondecreasing_parking_functions, to_diagram
 from .roots import Basis, Root, seifert
 
@@ -206,20 +210,31 @@ class OrbitGraph:
 def orbit_graph(n: int) -> OrbitGraph:
     """The action graph of all generators on the parking functions of n cars.
 
-    One `distinguished_bases(n)` pass yields each node f = initial_vector(basis) with its
-    basis; the nodes come back sorted, the order of `parking_functions(n)`.  alpha_k changes
-    only roots k and k+1, so each edge reads the left ends of the pair after the word (1,).
+    One enumeration of the bases as tuples of arc indices (`dbasis._point_bases`) yields
+    each node f, the left ends of its arcs; the nodes come back sorted, the order of
+    `parking_functions(n)`.  alpha_k changes only roots k and k+1, and their new left
+    ends depend on that ordered pair of arcs alone, so the call keeps an alpha table per
+    arc pair: each of its at most (n(n+1)/2)^2 entries is one two-root `apply_word`.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    points = tuple(range(n + 1))
+    index = {arc: k for k, arc in enumerate(itertools.combinations(points, 2))}
+    roots = [Root(a + 1, b, n) for a, b in index]
+    lo = [r.lo for r in roots]
+    moved: dict[tuple[int, int], tuple[int, int]] = {}  # arc pair -> the pair's left ends after alpha
     nodes = []
     alpha: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for basis in distinguished_bases(n):
-        f = initial_vector(basis)
+    for basis in _point_bases(points, lambda a, b: index[a, b]):
+        f = tuple(map(lo.__getitem__, basis))
         nodes.append(f)
         for k in range(1, n):
-            b, c = apply_word((basis[k - 1], basis[k]), (1,))
-            alpha[(f, k)] = f[: k - 1] + (b.lo, c.lo) + f[k + 1 :]
+            pair = basis[k - 1], basis[k]
+            ends = moved.get(pair)
+            if ends is None:
+                b, c = apply_word((roots[pair[0]], roots[pair[1]]), (1,))
+                ends = moved[pair] = (b.lo, c.lo)
+            alpha[(f, k)] = f[: k - 1] + ends + f[k + 1 :]
     return OrbitGraph(n, tuple(sorted(nodes)), alpha)
 
 

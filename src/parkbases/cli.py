@@ -22,6 +22,7 @@ from .bijection import initial_vector, reconstruct
 from .braid import apply_word, generator_order, orbit_graph, parse_word
 from .dbasis import BasisError, _point_bases, basis_count, distinguished_bases, to_arcs, validate_basis
 from .parking import (
+    _heads,
     catalan,
     is_parking,
     nondecreasing_parking_functions,
@@ -140,7 +141,7 @@ def _payload_chain(payload: dict) -> noncrossing.NCChain:
     if not (nested and all(_is_int_list(block) for p in raw for block in p)):
         raise CliError("E_INVALID_CHAIN", "malformed chain: expected lists of integer blocks")
     try:
-        chain = noncrossing.chain_of_partitions([noncrossing.partition(blocks) for blocks in raw])
+        chain = noncrossing._chain_of_blocks(raw)
     except ValueError as exc:  # includes an empty block
         raise CliError("E_INVALID_CHAIN", f"malformed chain: {exc}") from exc
     if chain.n < 1:
@@ -168,29 +169,47 @@ def _value_texts(lists, n: int):
     return (map(text, f) for f in lists)
 
 
-# kind: (default limit, closed-form count, field name, the JSON texts of each item's list elements).
-# Every field name sorts before "n", and str() of an int, or of nested lists of ints, is its JSON
-# with the default separators: each line is json.dumps(item, sort_keys=True).  The lambdas look
-# the enumerators up when called, so a rebinding of this module's names (bench/spans.py traces
-# that way, and still rebinds `distinguished_bases`, which listing no longer calls) reaches them.
+def _joined(texts_of):
+    """The lines of an enumeration whose items' element texts are texts_of(n), one join per item."""
+    def lines(n: int, head: str, tail: str):
+        join = ", ".join
+        return (head + join(texts) + tail for texts in texts_of(n))
+    return lines
+
+
+def _pf_lines(n: int, head: str, tail: str):
+    """The parking-function lines, per odometer head f[:n-1]: the head's text once, then one
+    concatenation per last entry v with the text of v and the tail."""
+    first = [f"{v}, " for v in range(n + 1)].__getitem__
+    ends = [f"{v}{tail}" for v in range(1, n + 1)]
+    for f, top in _heads(n):
+        yield from map((head + "".join(map(first, f))).__add__, ends[:top])
+
+
+# kind: (default limit, closed-form count, field name, lines(n, head, tail)), where each line is
+# head + the JSON texts of the item's list elements + tail.  Every field name sorts before "n",
+# and str() of an int, or of nested lists of ints, is its JSON with the default separators: each
+# line is json.dumps(item, sort_keys=True).  The lambdas look the enumerators up when called, so a
+# rebinding of this module's names (bench/spans.py traces that way) reaches them; it still rebinds
+# `parking_functions` and `distinguished_bases`, which listing no longer calls.
 _ENUMERATE = {
-    "pf": (8, lambda n: basis_count(n), "f", lambda n: _value_texts(parking_functions(n), n)),
+    "pf": (8, lambda n: basis_count(n), "f", _pf_lines),
     "bases": (
         8, lambda n: basis_count(n), "basis",
-        lambda n: _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]")),
+        _joined(lambda n: _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]"))),
     ),
     "nondecreasing": (
-        12, lambda n: catalan(n), "f", lambda n: _value_texts(nondecreasing_parking_functions(n), n),
+        12, lambda n: catalan(n), "f", _joined(lambda n: _value_texts(nondecreasing_parking_functions(n), n)),
     ),
     "chains": (
         8, lambda n: basis_count(n), "chain",
-        lambda n: (map(str, _blocks(c)) for c in noncrossing.maximal_chains(n)),
+        _joined(lambda n: (map(str, _blocks(c)) for c in noncrossing.maximal_chains(n))),
     ),
 }
 
 
 def cmd_enumerate(args) -> None:
-    limit, count, field, items = _ENUMERATE[args.kind]
+    limit, count, field, lines = _ENUMERATE[args.kind]
     _check_limit(args, args.kind, limit)
     if args.n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
@@ -198,9 +217,8 @@ def cmd_enumerate(args) -> None:
     if args.count:
         _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
         return
-    head, tail, join = f'{{"{field}": [', f'], "n": {n}}}\n', ", ".join
     try:  # before their first item, the bases enumerator recurses to depth n - 5 and chains to depth n
-        _emit(args, (head + join(texts) + tail for texts in items(n)))
+        _emit(args, lines(n, f'{{"{field}": [', f'], "n": {n}}}\n'))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
 

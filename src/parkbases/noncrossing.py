@@ -12,6 +12,12 @@ B below B'; its `partitions` are replayed on request, and `chain_of_partitions`
 reads the merges off given partitions.  Merge k is arc k of a basis
 (`partition_chain` / `chain_to_basis`), and the labels (`stanley_labels`) are a
 parking function shifted down by one.
+
+Read as transpositions, the merges of a maximal chain are the arcs of a basis, so
+they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
+multiply to it are a maximal chain.  So `chain_to_basis`, and `_chain_of_blocks`
+behind `nc from-chain`, accept by that product and run no crossing scan; a
+rejection takes the validated path, which names the fault.
 """
 from __future__ import annotations
 
@@ -128,15 +134,56 @@ def chain_of_partitions(parts: Sequence[NCPartition]) -> NCChain:
     return NCChain(tuple((_label(b, b_prime), b_prime[-1]) for b, b_prime in steps))
 
 
+def _chain_of_blocks(raw: Sequence[Sequence[Sequence[int]]]) -> NCChain:
+    """`chain_of_partitions([partition(p) for p in raw])`, accepted by the merges' cycle product.
+
+    Each partition is read in canonical form.  From the singletons of 0..n, every step must
+    drop two blocks B, B' and add their sorted union; each such step keeps a set partition,
+    and the merges (label, max B') form a maximal non-crossing chain exactly when they
+    multiply to (0 1 ... n), as in `chain_to_basis`.  So no partition needs its crossing
+    scan.  Anything else, a point that is not an int included, takes the validated path,
+    which raises the ValueError that names the fault.
+    """
+    merges = _block_merges(raw)
+    if merges is not None and _is_cycle_factorization(merges, len(merges)):
+        return NCChain(merges)
+    chain = chain_of_partitions([partition(blocks) for blocks in raw])
+    raise RuntimeError(f"the product rejects {chain.merges}, which the validated path accepts")
+
+
+def _block_merges(raw: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, int], ...] | None:
+    """The merges of partitions that go from the singletons by single merges, else None."""
+    if not raw or not all(type(x) is int for blocks in raw for b in blocks for x in b):
+        return None
+    lower = {tuple(sorted(b)) for b in raw[0]}
+    if len(raw[0]) != len(raw) or lower != {(x,) for x in range(len(raw))}:
+        return None
+    merges = []
+    for blocks in raw[1:]:
+        upper = {tuple(sorted(b)) for b in blocks}
+        if len(blocks) != len(lower) - 1:  # so `upper` holds no block twice
+            return None
+        try:
+            b, b_prime = _merged_pair(lower, upper)
+        except ValueError:
+            return None
+        merges.append((_label(b, b_prime), b_prime[-1]))
+        lower = upper
+    return tuple(merges)
+
+
 def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
     """The pair of `lower` blocks merged to reach `upper`, minima in order.
 
     Raises ValueError unless `upper` is `lower` with exactly two blocks joined.
     """
-    lower_set = set(lower.blocks)
-    upper_set = set(upper.blocks)
-    gone = sorted(lower_set - upper_set, key=lambda b: b[0])
-    new = upper_set - lower_set
+    return _merged_pair(set(lower.blocks), set(upper.blocks))
+
+
+def _merged_pair(lower: set[Block], upper: set[Block]) -> tuple[Block, Block]:
+    """`merge_of` on the two partitions' sets of blocks."""
+    gone = sorted(lower - upper)  # disjoint blocks sort by minimum
+    new = upper - lower
     if len(gone) != 2 or len(new) != 1:
         raise ValueError("not a single-merge cover")
     merged = new.pop()

@@ -174,17 +174,30 @@ def from_dyck(path: DyckPath) -> tuple[int, ...]:
 def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All parking functions on n cars, in lexicographic order.
 
-    There are (n+1)^(n-1) of them.  After a head f[:n-1], the valid last entries
-    are exactly 1..top, where top is the least k with fewer than k head values
-    <= k (at most n, as the head holds n - 1 values), so the last entry runs over
-    that range.  The heads come from an odometer: each step raises the rightmost
-    head entry that can still grow by one and resets the entries after it, the
-    last one included, to 1s.  With a tail of 1s, raising f[i] from v to v + 1
-    lowers only the count of values <= v, so that one count decides the step, and
-    it may stop once it reaches v; it fails for every v >= n.
+    There are (n+1)^(n-1) of them: each head f[:n-1] of `_heads(n)` followed by each
+    last entry 1..top.
 
     >>> list(parking_functions(2))
     [(1, 1), (1, 2), (2, 1)]
+    """
+    for head, top in _heads(n):
+        for v in range(1, top + 1):
+            yield head + (v,)
+
+
+def _heads(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each head f[:n-1] of a parking function on n cars, lexicographically, with its `top`.
+
+    After a head, the valid last entries are exactly 1..top, where top is the least k
+    with fewer than k head values <= k (at most n, as the head holds n - 1 values).
+    The heads come from an odometer: each step raises the rightmost head entry that
+    can still grow by one and resets the entries after it, the last one included, to
+    1s.  With a tail of 1s, raising f[i] from v to v + 1 lowers only the count of
+    values <= v, so that one count decides the step, and it may stop once it reaches
+    v; it fails for every v >= n.
+
+    >>> list(_heads(3))[:3]
+    [((1, 1), 3), ((1, 2), 3), ((1, 3), 2)]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -195,9 +208,7 @@ def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
             if x > top:
                 break
             top += 1
-        head = tuple(f)
-        for v in range(1, top + 1):
-            yield head + (v,)
+        yield tuple(f), top
         i = n - 2
         while i >= 0:
             v = f[i]

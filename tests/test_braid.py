@@ -277,6 +277,30 @@ def test_orbit_edges_are_the_full_mutation(n):
             assert graph.alpha[(f, k)] == mutate_parking(f, k, "left")
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_orbit_edges_are_the_two_root_word_on_each_basis_pair(n):
+    # One edge per basis and k, in enumeration order, each read off its own pair's word.
+    expected = {}
+    for basis in all_bases(n):
+        f = tuple(r.lo for r in basis)
+        for k in range(1, n):
+            b, c = apply_word((basis[k - 1], basis[k]), (1,))
+            expected[(f, k)] = f[: k - 1] + (b.lo, c.lo) + f[k + 1 :]
+    assert list(orbit_graph(n).alpha.items()) == list(expected.items())
+
+
+def test_orbit_graph_runs_one_word_per_arc_pair(monkeypatch):
+    words = []
+
+    def counted(basis, word):
+        words.append(word)
+        return apply_word(basis, word)
+
+    monkeypatch.setattr(braid, "apply_word", counted)
+    orbit_graph(5)
+    assert 0 < len(words) <= 15 * 15  # ordered pairs of the 15 arcs, against 4 * 1,296 edges
+
+
 def test_orbit_graph_reads_bases_off_the_enumeration(monkeypatch):
     def refuse(f):
         raise AssertionError("orbit_graph rebuilds a basis from its parking function")

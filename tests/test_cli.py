@@ -403,6 +403,26 @@ def test_nc_from_chain_rejects_malformed_blocks(payload, monkeypatch, capsys):
     assert _single_error(code, out, err, "E_INVALID_CHAIN:")
 
 
+# A maximal chain on {0..3} and broken copies of it, with the one error line each gets.
+_CHAIN3 = [[[0], [1], [2], [3]], [[0, 1], [2], [3]], [[0, 1], [2, 3]], [[0, 1, 2, 3]]]
+_BROKEN_CHAINS = [
+    ([_CHAIN3[1], _CHAIN3[0], *_CHAIN3[2:]], "chains must start at the all-singletons partition"),
+    ([_CHAIN3[0], [[0], [1, 2], [3]], *_CHAIN3[2:]], "not a single-merge cover"),
+    ([_CHAIN3[0], [[0, 2], [1], [3]], [[0, 2], [1, 3]], _CHAIN3[3]], "blocks (1, 3) and (0, 2) cross"),
+    ([*_CHAIN3[:2], [[0, 1], [2, 3], [2, 3]], _CHAIN3[3]], "blocks must partition a range {0, ..., n}"),
+    ([*_CHAIN3[:3], [[0, 1, 2, 3], [0, 1, 2, 3]]], "blocks must partition a range {0, ..., n}"),
+    ([[[False], [True], [2], [3]], *_CHAIN3[1:]], "expected lists of integer blocks"),
+    ([*_CHAIN3[:3], [[0, 1, 2, 3.0]]], "expected lists of integer blocks"),
+    ([*_CHAIN3[:3], [[0, 1, 2, 3], []]], "blocks must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("chain,message", _BROKEN_CHAINS)
+def test_nc_from_chain_names_what_breaks_the_chain(chain, message, monkeypatch, capsys):
+    code, out, err = run_cli(["nc", "from-chain"], json.dumps({"chain": chain}), monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"E_INVALID_CHAIN: malformed chain: {message}\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_verify_rejects_n_below_one(n, monkeypatch, capsys):
     code, out, err = run_cli(["verify", n], "", monkeypatch, capsys)

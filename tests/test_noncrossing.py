@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ from parkbases.bijection import reconstruct
 from parkbases.noncrossing import (
     NCChain,
     NCPartition,
+    _chain_of_blocks,
     _label,
     chain_of_partitions,
     chain_to_basis,
@@ -150,6 +152,90 @@ def test_gap_test_rejection_is_never_overruled(monkeypatch):
     monkeypatch.setattr(noncrossing, "_nested_label", lambda *args: None)
     with pytest.raises(RuntimeError):
         partition_chain(basis_of_pairs([(1, 1), (2, 2)], 2))  # NCPartition accepts each join
+
+
+def _validated(raw):
+    """The answer of the validated path on partitions given as lists of blocks: a chain or the error text."""
+    try:
+        return chain_of_partitions([partition(blocks) for blocks in raw])
+    except ValueError as exc:
+        return str(exc)
+
+
+def _by_product(raw):
+    try:
+        return _chain_of_blocks(raw)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _merge_sequences(n):
+    """Every sequence of single merges from the singletons of 0..n, crossing ones included."""
+    def rec(blocks, parts):
+        if len(blocks) == 1:
+            yield parts
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            merged = [b for k, b in enumerate(blocks) if k not in (i, j)] + [sorted(blocks[i] + blocks[j])]
+            yield from rec(merged, parts + [merged])
+
+    start = [[x] for x in range(n + 1)]
+    yield from rec(start, [start])
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_merge_product_decides_every_single_merge_sequence(n):
+    # 1,442 of the 2,903 sequences with n <= 5 are maximal non-crossing chains.
+    accepted = 0
+    for raw in _merge_sequences(n):
+        answer = _validated(raw)
+        assert _by_product(raw) == answer, raw
+        accepted += isinstance(answer, NCChain)
+    assert accepted == dbasis.basis_count(n)
+
+
+def _corruptions(parts):
+    """Broken copies of a chain's partitions (lists of lists), each with what it breaks."""
+    n = len(parts) - 1
+    yield "swap two partitions", [parts[1], parts[0], *parts[2:]]
+    if n >= 2:  # the partition before the last has two blocks
+        moved = [[list(b) for b in p] for p in parts]
+        source, target = sorted(moved[n - 1], key=len, reverse=True)
+        target.append(source.pop())
+        yield "move one point", moved
+    if n >= 3:
+        yield "a crossing partition", [*parts[:2], [[0, 2], [1, 3], *[[x] for x in range(4, n + 1)]], *parts[3:]]
+    yield "repeat a block", [*parts[:-1], parts[-1] + parts[-1][:1]]
+    yield "a bool point", [[[True if x == 1 else x for x in b] for b in p] for p in parts]
+    yield "a float point", [[[float(x) if x == n else x for x in b] for b in p] for p in parts]
+    yield "an empty block", [*parts[:-1], parts[-1] + [[]]]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_chain_of_blocks_agrees_with_the_validated_path(n):
+    rng = random.Random(n)
+    rejected = collections.Counter()
+    for chain in maximal_chains(n):
+        parts = [[list(b) for b in p.blocks] for p in chain.partitions]
+        shuffled = [rng.sample([rng.sample(b, len(b)) for b in p], len(p)) for p in parts]
+        assert _chain_of_blocks(shuffled) == chain == _validated(shuffled)
+        for what, raw in _corruptions(parts):
+            answer = _validated(raw)
+            if isinstance(answer, NCChain):  # a moved point can land on another maximal chain
+                assert _chain_of_blocks(raw) == answer
+                continue
+            rejected[what] += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(answer)}$"):
+                _chain_of_blocks(raw)
+    kinds = {what for what, _ in _corruptions(parts)}
+    if n == 2:  # on three points, moving one always gives another maximal chain
+        kinds.remove("move one point")
+    assert set(rejected) == kinds
+
+
+def test_chain_of_blocks_product_rejection_is_never_overruled(monkeypatch):
+    monkeypatch.setattr(noncrossing, "_is_cycle_factorization", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        _chain_of_blocks([[[0], [1], [2]], [[0, 1], [2]], [[0, 1, 2]]])  # the validated path accepts it
 
 
 def test_rank2_worked_chain():

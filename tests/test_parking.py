@@ -9,6 +9,7 @@ from parkbases.braid import young_diagrams
 from parkbases.parking import (
     DyckPath,
     ParkingDiagram,
+    _heads,
     catalan,
     from_diagram,
     from_dyck,
@@ -53,6 +54,14 @@ def test_parking_lex_order():
 def test_parking_functions_are_the_sorted_parking_filter(n):
     product = itertools.product(range(1, n + 1), repeat=n)
     assert list(parking_functions(n)) == sorted(filter(is_parking, product))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_heads_expand_to_the_parking_functions(n):
+    # `cli` writes its pf lines from the heads; top is the largest valid last entry.
+    expanded = [head + (v,) for head, top in _heads(n) for v in range(1, top + 1)]
+    assert expanded == list(parking_functions(n))
+    assert not any(top < n and is_parking(head + (top + 1,)) for head, top in _heads(n))
 
 
 @pytest.mark.parametrize(
