@@ -15,9 +15,11 @@ parking function shifted down by one.
 
 Read as transpositions, the merges of a maximal chain are the arcs of a basis, so
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
-multiply to it are a maximal chain.  So `chain_to_basis`, and `_chain_of_blocks`
-behind `nc from-chain`, accept by that product and run no crossing scan; a
-rejection takes the validated path, which names the fault.
+multiply to it are a maximal chain.  So `chain_to_basis`, `partition_chain` (a
+basis is its own chain) and `_chain_of_blocks` behind `nc from-chain` accept by
+that product and run no crossing scan; a rejection takes the validated path,
+which names the fault (`partition_chain` joins a root tuple that is not a basis
+arc by arc).
 """
 from __future__ import annotations
 
@@ -198,20 +200,6 @@ def _label(b: Block, b_prime: Block) -> int:
     return b[bisect.bisect(b, b_prime[0]) - 1]
 
 
-def _nested_label(owner: list[int], blocks: dict[int, Block], m: int, m_prime: int) -> int | None:
-    """The label of joining the blocks with minima m < m_prime, or None if the join crosses.
-
-    It does unless each point between the label and m_prime lies in a block inside that gap.
-    """
-    label = _label(blocks[m], blocks[m_prime])
-    x = label + 1
-    while x < m_prime:
-        if owner[x] != x:  # x's block starts left of the gap
-            return None
-        x = blocks[x][-1] + 1
-    return label if x == m_prime else None
-
-
 def _join(owner: list[int], blocks: dict[int, Block], m: int, m_prime: int) -> Block:
     """Join the blocks with minima m < m_prime in place (the join keeps key m); return B'."""
     b_prime = blocks.pop(m_prime)
@@ -229,9 +217,12 @@ def stanley_labels(chain: NCChain) -> tuple[int, ...]:
 def partition_chain(basis: Sequence[Root]) -> NCChain:
     """The chain of connected-component partitions of the first k arcs (lo - 1, hi) of a basis."""
     n = basis[0].rank if basis else 0
+    arcs = tuple((r.lo - 1, r.hi) for r in basis)
+    if len(arcs) == n and all(r.rank == n for r in basis) and _is_cycle_factorization(arcs, n):
+        return NCChain(arcs)
     owner = list(range(n + 1))  # point -> minimum of its block
     blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
-    merges = []
+    parts = [NCPartition(tuple(blocks.values()))]
     for r in basis:
         if r.hi > n:  # a root of a larger rank than the first
             raise ValueError(f"arc ({r.lo - 1}, {r.hi}) out of range for rank {n}")
@@ -239,15 +230,9 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
         m, m_prime = sorted((owner[r.lo - 1], owner[r.hi]))
         if m == m_prime:
             raise ValueError("arcs of a basis never close a cycle")
-        label = _nested_label(owner, blocks, m, m_prime)
-        b_prime = _join(owner, blocks, m, m_prime)
-        if label is None:
-            NCPartition(tuple(blocks.values()))  # raises "blocks X and Y cross"
-            raise RuntimeError(f"the gap test rejects joining {b_prime}, which NCPartition accepts")
-        merges.append((label, b_prime[-1]))
-    if len(merges) != n:  # too few arcs
-        raise ValueError(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
-    return NCChain(tuple(merges))
+        _join(owner, blocks, m, m_prime)
+        parts.append(NCPartition(tuple(blocks.values())))  # raises "blocks X and Y cross"
+    return chain_of_partitions(parts)  # raises unless there are n arcs
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
@@ -275,8 +260,12 @@ def maximal_chains(n: int) -> Iterator[NCChain]:
         if len(blocks) == 1:
             yield NCChain(merges)
         for m, m_prime in itertools.combinations(blocks, 2):  # in order of minimum
-            label = _nested_label(owner, blocks, m, m_prime)
-            if label is not None:  # else the join would cross a third block
+            # Prune joins that would cross a third block: the gap must hold whole blocks only.
+            label = _label(blocks[m], blocks[m_prime])
+            x = label + 1
+            while x < m_prime and owner[x] == x:
+                x = blocks[x][-1] + 1
+            if x == m_prime:
                 owner_next, blocks_next = owner.copy(), blocks.copy()
                 top = _join(owner_next, blocks_next, m, m_prime)[-1]
                 yield from rec(owner_next, blocks_next, merges + ((label, top),))

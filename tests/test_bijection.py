@@ -86,11 +86,6 @@ def test_in_vector_reconstruct_round_trip(n):
     verify.check_round_trips(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_geometric_equals_algebraic(n):
-    verify.check_geometric(n)
-
-
 def test_permutation_examples():
     assert reconstruct_permutation((2, 1)) == basis_of_pairs([(2, 2), (1, 2)], 2)
     assert reconstruct_permutation((3, 1, 2)) == basis_of_pairs([(3, 3), (1, 1), (2, 3)], 3)

@@ -148,10 +148,16 @@ def test_chain_product_rejection_is_never_overruled(monkeypatch):
         chain_to_basis(NCChain(((0, 1), (1, 2))))  # the replay accepts it
 
 
-def test_gap_test_rejection_is_never_overruled(monkeypatch):
-    monkeypatch.setattr(noncrossing, "_nested_label", lambda *args: None)
-    with pytest.raises(RuntimeError):
-        partition_chain(basis_of_pairs([(1, 1), (2, 2)], 2))  # NCPartition accepts each join
+def test_a_basis_is_its_own_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partition_chain joins the arcs of a basis")
+
+    monkeypatch.setattr(noncrossing, "_join", refuse)
+    monkeypatch.setattr(noncrossing, "NCPartition", refuse)
+    n = 3200  # long single blocks, where joining arc by arc is quadratic
+    long_bases = [reconstruct(f) for f in ((1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
+    for basis in itertools.chain(*map(all_bases, range(1, 6)), long_bases):
+        assert partition_chain(basis).merges == tuple((r.lo - 1, r.hi) for r in basis)
 
 
 def _validated(raw):
@@ -331,18 +337,24 @@ def _near_bases(n, count=40):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 10, 11, 12])
 def test_partition_chain_matches_component_oracle(n):
     # Every n-tuple of positive roots, valid basis or not, up to n = 4; near misses beyond.
+    # Each tuple less its last root too: the first fault the oracle meets names the error.
+    too_few = re.escape(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
+    faults = {"cycle": "^arcs of a basis never close a cycle$", "crossing": "cross$"}
     tuples = itertools.product(list(positive_roots(n)), repeat=n) if n <= 4 else _near_bases(n)
-    for tup in tuples:
-        arcs = [(r.lo - 1, r.hi) for r in tup]
+    for tup in itertools.chain.from_iterable((full, full[:-1]) for full in tuples):
+        if not tup:  # no first root to read a rank from: the chain on {0}
+            assert partition_chain(tup) == NCChain(())
+            continue
+        fault = f"^{too_few}$" if len(tup) < n else None
         try:
-            expected = _component_history(arcs, n)
-        except ValueError:
-            expected = None
-        try:
-            got = [list(p.blocks) for p in partition_chain(tup).partitions]
-        except ValueError:
-            got = None
-        assert got == expected, tup
+            expected = _component_history([(r.lo - 1, r.hi) for r in tup], n)
+        except ValueError as error:
+            fault = faults[str(error)]
+        if fault is None:
+            assert [list(p.blocks) for p in partition_chain(tup).partitions] == expected, tup
+        else:
+            with pytest.raises(ValueError, match=fault):
+                partition_chain(tup)
 
 
 def test_shifted_labels_are_parking_rank6():
