@@ -54,19 +54,27 @@ def _stops(labels: Sequence[int], lengths: Sequence[int]) -> list[int]:
     return stops
 
 
+def _checked_stops(f: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """f as a checked parking function, with the ray stop of each label (entry k-1 for label k).
+
+    The stops are read off the rows of the diagram of f (labels sorted by
+    (value, label)) without building it.
+    """
+    f = _checked(f)
+    order = sorted(range(len(f)), key=f.__getitem__)  # stable: rows by (f[k], k)
+    return f, _stops([k + 1 for k in order], [f[k] - 1 for k in order])
+
+
 def reconstruct(f: Sequence[int]) -> Basis:
     """The unique basis whose initial vector is the parking function f.
 
-    Root k runs from f(k) to the ray stop of label k, read off the rows of the
-    diagram of f (labels sorted by (value, label)) without building it.
+    Root k runs from f(k) to the ray stop of label k (`_checked_stops`).
 
     >>> [str(r) for r in reconstruct((2, 2, 1))]
     ['e[2,3]', 'e[2,2]', 'e[1,3]']
     """
-    f = _checked(f)
+    f, stops = _checked_stops(f)
     n = len(f)
-    order = sorted(range(n), key=f.__getitem__)  # stable: rows by (f[k], k)
-    stops = _stops([k + 1 for k in order], [f[k] - 1 for k in order])
     return tuple(Root(v, stop, n) for v, stop in zip(f, stops))
 
 

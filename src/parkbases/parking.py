@@ -96,18 +96,25 @@ class ParkingDiagram:
         return (self.lengths[p], p - self.n)
 
 
+_set_labels, _set_lengths = ParkingDiagram.labels.__set__, ParkingDiagram.lengths.__set__
+
+
 def to_diagram(values: Sequence[int]) -> ParkingDiagram:
     """The staircase diagram of a parking function.
 
     Rows are the labels sorted by (value, label); the row of label k has length
-    f(k) - 1.
+    f(k) - 1.  The diagram is stored through the slot setters, skipping
+    `ParkingDiagram.__post_init__`, whose four checks follow from f being parking:
+    the labels are a permutation; a sort by value makes the lengths weakly
+    increase; a stable sort keeps tied labels in increasing order; and
+    lengths[p] <= p is the parking condition (at least p + 1 values are <= p + 1).
     """
     f = _checked(values)
     order = sorted(range(len(f)), key=f.__getitem__)  # stable: rows by (f[k], k)
-    return ParkingDiagram(
-        labels=tuple(k + 1 for k in order),
-        lengths=tuple(f[k] - 1 for k in order),
-    )
+    diagram = object.__new__(ParkingDiagram)
+    _set_labels(diagram, tuple(k + 1 for k in order))
+    _set_lengths(diagram, tuple(f[k] - 1 for k in order))
+    return diagram
 
 
 def from_diagram(diagram: ParkingDiagram) -> tuple[int, ...]:

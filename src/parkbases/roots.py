@@ -22,7 +22,7 @@ from typing import Iterator
 class Root:
     """A positive root, stored as the integer interval [lo, hi] inside rank `rank`.
 
-    Every hot path builds roots (about 267 for one parking function of size 64
+    Every hot path builds roots (about 206 for one parking function of size 64
     through the nine sampled-large bench steps), so the constructor is written
     by hand: it validates its arguments and stores them through the slot
     setters, bound once below the class.  The generated frozen
@@ -97,6 +97,11 @@ def seifert(a: Root, b: Root) -> int:
     0
     """
     _check_ranks(a, b)
+    return _seifert(a, b)
+
+
+def _seifert(a: Root, b: Root) -> int:
+    """`seifert` on two roots whose ranks the caller has already compared."""
     if b.lo <= a.lo <= b.hi <= a.hi:
         return 1
     if a.lo <= b.lo - 1 <= a.hi < b.hi:

@@ -47,6 +47,11 @@ def pattern_point_bases(points: tuple[int, ...], n: int):
                         yield (head, *[next(it1) if take else next(it2) for take in pattern])
 
 
+def long_families(n: int) -> tuple[tuple[int, ...], ...]:
+    """The all-ones, identity and reversed parking functions on n cars."""
+    return (1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+
+
 def root(lo: int, hi: int, n: int) -> Root:
     return Root(lo, hi, n)
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkbases import braid
-from parkbases.bijection import reconstruct
+from parkbases import bijection, braid
+from parkbases.bijection import initial_vector, reconstruct
 from parkbases.braid import (
     _combine,
     apply_word,
@@ -25,7 +25,7 @@ from parkbases.dbasis import validate_basis
 from parkbases.parking import catalan, from_diagram, parking_functions, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs
+from helpers import all_bases, all_pfs, basis_of_pairs, long_families
 
 from helpers import ALPHA1_RANK3, ALPHA2_RANK3
 
@@ -73,6 +73,49 @@ def test_mutate_checks_k_before_the_direction(direction):
 def test_mutate_parking_examples():
     assert mutate_parking((1, 2, 1), 1, "left") == (2, 1, 1)
     assert mutate_parking((1, 2, 1), 2, "left") == (1, 1, 1)
+
+
+def _composite_mutate_parking(f, k, direction):
+    return initial_vector(mutate(reconstruct(f), k, direction))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the type and text are what is compared
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mutate_parking_builds_two_roots_not_a_basis(monkeypatch, n):
+    def refuse(f):
+        raise AssertionError("mutate_parking reconstructs the whole basis")
+
+    monkeypatch.setattr(bijection, "reconstruct", refuse)
+    monkeypatch.setattr(braid, "reconstruct", refuse)
+    # This module's own `reconstruct` binding stays the reference.
+    cases = [(f, range(1, n)) for f in all_pfs(n)]
+    if n == 6:
+        cases += [(f, (1, 1600, 3199)) for f in long_families(3200)]
+    for f, ks in cases:
+        basis = reconstruct(f)
+        for k in ks:
+            for direction in ("left", "right"):
+                assert mutate_parking(f, k, direction) == initial_vector(mutate(basis, k, direction))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [(), (1,), (1, 2, 1), (0, 1, 1), (1, 4, 1), (2, 2, 2), (3, 3, 1), (1, 1, -1)],
+)
+def test_mutate_parking_raises_as_the_composite_reading(f):
+    # Range, then parking, then k, then the direction, each with the composite's text.
+    for k in (-1, 0, 1, len(f)):
+        for direction in ("left", "right", "up"):
+            got = _outcome(mutate_parking, f, k, direction)
+            assert got == _outcome(_composite_mutate_parking, f, k, direction), (f, k, direction)
+            if (f, k) != ((1, 2, 1), 1) or direction == "up":
+                assert got[0] is ValueError, (f, k, direction)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -128,6 +171,17 @@ def test_apply_word_reports_the_first_bad_letter():
     for word, k in [((1, 3), 3), ((-2, -3, 0), 3), ((1, 0, 5), 0)]:
         with pytest.raises(ValueError, match=f"^generator index {k} out of range 1..2$"):
             apply_word(basis, word)
+
+
+def test_apply_word_names_a_rank_mismatch_at_the_first_letter_that_touches_it():
+    mixed = (Root(1, 1, 3), Root(2, 2, 3), Root(1, 1, 2))
+    assert apply_word(mixed, (1, 1, 1)) == mixed
+    assert apply_word(mixed, (-1,)) == (Root(1, 2, 3), Root(1, 1, 3), Root(1, 1, 2))
+    for word in [(2,), (-2,), (1, -2), (1, 1, 2, 1)]:
+        with pytest.raises(ValueError, match="^rank mismatch: 3 != 2$"):
+            apply_word(mixed, word)
+    with pytest.raises(ValueError, match="^rank mismatch: 2 != 3$"):
+        apply_word(mixed[::-1], (2, 1))
 
 
 def test_parse_word():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 
@@ -24,7 +25,7 @@ from parkbases.dbasis import (
 )
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs, pattern_point_bases, random_parking
+from helpers import all_bases, all_pfs, basis_of_pairs, long_families, pattern_point_bases, random_parking
 
 N12_PAIRS = [
     (3, 3), (11, 11), (7, 7), (5, 7), (9, 9), (8, 9),
@@ -111,6 +112,48 @@ def test_from_arcs_rejects_a_wrong_number_of_arcs():
     with pytest.raises(BasisError, match="^expected 3 arcs, got 2$") as err:
         from_arcs(ArcDiagram(((0, 1), (1, 2)), 3))
     assert err.value.code == "length"
+
+
+def test_validate_accepts_without_the_forest_test(monkeypatch):
+    # n transpositions that multiply to (0 1 ... n) form a tree, so the product alone accepts.
+    forest = dbasis._first_cycle
+
+    def refuse(arcs):
+        raise AssertionError("validate_basis runs the forest test on a basis")
+
+    monkeypatch.setattr(dbasis, "_first_cycle", refuse)
+    bases = [basis for n in range(6) for basis in all_bases(n)]
+    bases += [reconstruct(f) for f in long_families(3200)]
+    for basis in bases:
+        assert validate_basis(basis) == basis
+        assert forest(tuple((r.lo - 1, r.hi) for r in basis)) is None
+
+
+def test_to_arcs_skips_the_range_check_on_one_rank(monkeypatch):
+    # Each Root already holds 1 <= lo <= hi <= rank, so its arc lies in range.
+    def refuse(self):
+        raise AssertionError("to_arcs re-checks its arcs")
+
+    monkeypatch.setattr(ArcDiagram, "__post_init__", refuse)
+    bases = [basis for n in range(6) for basis in all_bases(n)]
+    bases += [reconstruct(f) for f in long_families(3200)]
+    diagrams = [to_arcs(basis) for basis in bases]
+    monkeypatch.undo()
+    for basis, diagram in zip(bases, diagrams):
+        assert ArcDiagram(diagram.arcs, diagram.rank) == diagram and from_arcs(diagram) == basis
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        ((Root(1, 1, 1), Root(1, 3, 3)), "arc (0, 3) out of range for rank 1"),
+        ((Root(1, 1, 3), Root(1, 2, 3), Root(1, 1, 2)), "rank mismatch: 3 != 2"),
+        ((Root(1, 1, 1), Root(1, 1, 2), Root(1, 3, 3)), "arc (0, 3) out of range for rank 1"),
+    ],
+)
+def test_to_arcs_on_mixed_ranks_checks_the_range_first(roots, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        to_arcs(roots)
 
 
 def test_validate_dependent():

@@ -20,7 +20,7 @@ from parkbases.parking import (
     to_dyck,
 )
 
-from helpers import all_pfs
+from helpers import all_pfs, long_families
 
 
 def test_is_parking_examples():
@@ -113,6 +113,19 @@ def test_diagram_nondecreasing_labels_bottom_up():
 def test_diagram_round_trip_exhaustive(n):
     for f in all_pfs(n):
         assert from_diagram(to_diagram(f)) == f
+
+
+def test_to_diagram_skips_the_diagram_checks(monkeypatch):
+    # Every check of ParkingDiagram.__post_init__ follows from f being parking.
+    def refuse(self):
+        raise AssertionError("to_diagram re-checks its diagram")
+
+    monkeypatch.setattr(ParkingDiagram, "__post_init__", refuse)
+    inputs = [f for n in range(1, 7) for f in all_pfs(n)] + list(long_families(3200))
+    diagrams = [to_diagram(f) for f in inputs]
+    monkeypatch.undo()
+    for f, d in zip(inputs, diagrams):
+        assert ParkingDiagram(d.labels, d.lengths) == d and from_diagram(d) == f
 
 
 def test_diagram_validation():
