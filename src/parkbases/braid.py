@@ -186,24 +186,25 @@ def mutate_diagram(diagram: ParkingDiagram, k: int, direction: Direction) -> Par
     """
     f = from_diagram(diagram)
     _check_k(len(f), k)
+    left = _sign(direction) == 1
     stops = ray_stops(diagram)
     v_k, v_next = f[k - 1], f[k]
     t_k, t_next = stops[k - 1], stops[k]
     g = list(f)
     if v_k == v_next:
-        if direction == "left":
+        if left:
             g[k] = t_next + 1
         else:
             g[k - 1] = t_next + 1
             g[k] = v_k
     elif t_k == t_next:
-        if direction == "left":
+        if left:
             g[k - 1] = v_next
             g[k] = v_next
         else:
             g[k - 1], g[k] = v_next, v_k
     elif t_k == v_next - 1:
-        if direction == "left":
+        if left:
             g[k - 1], g[k] = v_next, v_k
         else:
             g[k] = v_k

@@ -217,7 +217,7 @@ def cmd_enumerate(args) -> None:
     if args.count:
         _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
         return
-    try:  # before their first item, the bases enumerator recurses to depth n - 5 and chains to depth n
+    try:  # before their first item, the bases and chains enumerators recurse to depth n - 5
         _emit(args, lines(n, f'{{"{field}": [', f'], "n": {n}}}\n'))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc

@@ -35,9 +35,10 @@ reads them from `_table(t)` instead of recursing: 1,440 gathers over t = 2..5, b
 once by the recursion itself.  Below that bound lie most generator frames and the
 inside enumerations rebuilt for every outside basis, about three quarters of the time
 of an n = 6 listing, so a listing recurses only to depth n - 5.
-What an arc becomes is the caller's choice: `_point_bases` yields tuples of
-leaf(a, b), so `distinguished_bases` shares one `Root` per arc and call, and the
-CLI lists the arcs' JSON texts without building a root.
+`_point_bases` is the library's one enumerator, and what an arc becomes is the
+caller's choice: it yields tuples of leaf(a, b), so `distinguished_bases` shares one
+`Root` per arc and call, `noncrossing.maximal_chains` takes the arcs as a chain's
+merges, and the CLI lists the arcs' JSON texts without building a root.
 """
 from __future__ import annotations
 
@@ -183,7 +184,7 @@ def to_arcs(basis: Sequence[Root]) -> ArcDiagram:
     When every root has the first root's rank, the diagram is stored through the
     slot setters, skipping `ArcDiagram.__post_init__`: each `Root` already holds
     1 <= lo <= hi <= rank, so 0 <= lo - 1 < hi <= rank.  Mixed ranks raise, the
-    range check first, as in `noncrossing.partition_chain`.
+    range check first.
     """
     basis = tuple(basis)
     rank = basis[0].rank if basis else 0

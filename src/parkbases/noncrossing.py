@@ -15,21 +15,22 @@ parking function shifted down by one.
 
 Read as transpositions, the merges of a maximal chain are the arcs of a basis, so
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
-multiply to it are a maximal chain.  So `chain_to_basis`, `partition_chain` (a
-basis is its own chain) and `_chain_of_blocks` behind `nc from-chain` accept by
-that product and run no crossing scan; a rejection takes the validated path,
-which names the fault (`partition_chain` joins a root tuple that is not a basis
-arc by arc).
+multiply to it are a maximal chain.  So `maximal_chains` reads the chains off the
+bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`;
+`chain_to_basis`, `partition_chain` (a basis is its own chain) and `_chain_of_blocks`
+behind `nc from-chain` accept by that product and run no crossing scan.  A rejection
+takes the validated path, which names the fault: the chain replay, the partitions'
+checks, or `validate_basis` for `partition_chain`.  `verify` counts the chains from
+the definition, join by join.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
 from typing import Iterator, Sequence
 
-from .dbasis import _is_cycle_factorization
-from .roots import Basis, Root, _check_ranks
+from .dbasis import _is_cycle_factorization, _point_bases, validate_basis
+from .roots import Basis, Root
 
 Block = tuple[int, ...]
 
@@ -116,7 +117,10 @@ class NCChain:
                 and blocks[m_prime][-1] == top and _label(blocks[m], blocks[m_prime]) == label
             ):
                 raise ValueError(f"step {step}: {(label, top)} is not the merge of a maximal chain")
-            _join(owner, blocks, m, m_prime)
+            b_prime = blocks.pop(m_prime)  # the join keeps the key m, so the order of minima holds
+            blocks[m] = tuple(sorted(blocks[m] + b_prime))
+            for x in b_prime:
+                owner[x] = m
             parts.append(NCPartition(tuple(blocks.values())))  # raises if the join crosses
         return tuple(parts)
 
@@ -200,39 +204,23 @@ def _label(b: Block, b_prime: Block) -> int:
     return b[bisect.bisect(b, b_prime[0]) - 1]
 
 
-def _join(owner: list[int], blocks: dict[int, Block], m: int, m_prime: int) -> Block:
-    """Join the blocks with minima m < m_prime in place (the join keeps key m); return B'."""
-    b_prime = blocks.pop(m_prime)
-    blocks[m] = tuple(sorted(blocks[m] + b_prime))
-    for x in b_prime:
-        owner[x] = m
-    return b_prime
-
-
 def stanley_labels(chain: NCChain) -> tuple[int, ...]:
     """The merge labels of a chain; adding 1 to each is a bijection onto parking functions."""
     return tuple(label for label, _ in chain.merges)
 
 
 def partition_chain(basis: Sequence[Root]) -> NCChain:
-    """The chain of connected-component partitions of the first k arcs (lo - 1, hi) of a basis."""
+    """The chain of connected-component partitions of the first k arcs (lo - 1, hi) of a basis.
+
+    A basis is its own chain: merge k is arc k, accepted by the arcs' cycle product.  Any
+    other tuple raises the BasisError (a ValueError) that `validate_basis` raises on it.
+    """
     n = basis[0].rank if basis else 0
     arcs = tuple((r.lo - 1, r.hi) for r in basis)
     if len(arcs) == n and all(r.rank == n for r in basis) and _is_cycle_factorization(arcs, n):
         return NCChain(arcs)
-    owner = list(range(n + 1))  # point -> minimum of its block
-    blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
-    parts = [NCPartition(tuple(blocks.values()))]
-    for r in basis:
-        if r.hi > n:  # a root of a larger rank than the first
-            raise ValueError(f"arc ({r.lo - 1}, {r.hi}) out of range for rank {n}")
-        _check_ranks(basis[0], r)
-        m, m_prime = sorted((owner[r.lo - 1], owner[r.hi]))
-        if m == m_prime:
-            raise ValueError("arcs of a basis never close a cycle")
-        _join(owner, blocks, m, m_prime)
-        parts.append(NCPartition(tuple(blocks.values())))  # raises "blocks X and Y cross"
-    return chain_of_partitions(parts)  # raises unless there are n arcs
+    validate_basis(basis)  # raises the BasisError that names the fault
+    raise RuntimeError(f"the product rejects {arcs}, which validate_basis accepts")
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
@@ -251,24 +239,9 @@ def chain_to_basis(chain: NCChain) -> Basis:
 def maximal_chains(n: int) -> Iterator[NCChain]:
     """All maximal chains of non-crossing partitions of {0, ..., n}.
 
-    There are (n+1)^(n-1) of them.
+    There are (n+1)^(n-1) of them.  They come in the order of `distinguished_bases(n)`:
+    the merges of chain k are the arcs (lo - 1, hi) of basis k.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-
-    def rec(owner: list[int], blocks: dict[int, Block], merges: tuple) -> Iterator[NCChain]:
-        if len(blocks) == 1:
-            yield NCChain(merges)
-        for m, m_prime in itertools.combinations(blocks, 2):  # in order of minimum
-            # Prune joins that would cross a third block: the gap must hold whole blocks only.
-            label = _label(blocks[m], blocks[m_prime])
-            x = label + 1
-            while x < m_prime and owner[x] == x:
-                x = blocks[x][-1] + 1
-            if x == m_prime:
-                owner_next, blocks_next = owner.copy(), blocks.copy()
-                top = _join(owner_next, blocks_next, m, m_prime)[-1]
-                yield from rec(owner_next, blocks_next, merges + ((label, top),))
-
-    owner = list(range(n + 1))  # point -> minimum of its block
-    yield from rec(owner, {x: (x,) for x in owner}, ())  # blocks keyed by minimum
+    yield from map(NCChain, _point_bases(tuple(range(n + 1)), lambda a, b: (a, b)))

@@ -293,6 +293,20 @@ def test_diagram_mutation_plain_swap_case():
         assert from_diagram(mutate_diagram(diagram, 3, direction)) == (1, 1, 3, 1)
 
 
+def test_mutate_diagram_raises_as_mutate_parking():
+    # k first, then the direction: "up" was once read as "right".
+    f = (1, 2, 1)
+
+    def on_diagram(k, direction):
+        return from_diagram(mutate_diagram(to_diagram(f), k, direction))
+
+    for k in (0, 1, 2, 3):
+        for direction in ("left", "right", "up"):
+            assert _outcome(on_diagram, k, direction) == _outcome(mutate_parking, f, k, direction), (k, direction)
+    with pytest.raises(ValueError, match="^direction must be 'left' or 'right', got 'up'$"):
+        mutate_diagram(to_diagram(f), 1, "up")
+
+
 def test_diagram_mutation_rank8_triple():
     # three diagrams linked by the sixth generator
     f_x = (2, 8, 6, 4, 5, 1, 7, 1)

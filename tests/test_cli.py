@@ -162,6 +162,17 @@ def test_enumerate_lines_are_json_dumps_of_each_item(kind, monkeypatch, capsys):
         assert out.splitlines(keepends=True) == expected
 
 
+def test_enumerate_lists_chains_in_bases_order(monkeypatch, capsys):
+    # Line k of the chains is `nc to-chain` of line k of the bases.
+    for n in range(1, 5):
+        _, bases, _ = run_cli(["enumerate", str(n), "bases"], "", monkeypatch, capsys)
+        _, chains, _ = run_cli(["enumerate", str(n), "chains"], "", monkeypatch, capsys)
+        assert len(bases.splitlines()) == len(chains.splitlines()) == (n + 1) ** (n - 1)
+        for basis_line, chain_line in zip(bases.splitlines(), chains.splitlines()):
+            code, out, _ = run_cli(["nc", "to-chain"], basis_line, monkeypatch, capsys)
+            assert code == 0 and json.loads(out)["chain"] == json.loads(chain_line)["chain"], basis_line
+
+
 def test_braid_apply(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["braid", "apply", "1"], '{"n":3,"f":[1,2,1]}', monkeypatch, capsys
@@ -460,7 +471,7 @@ class _WriteOnly:
 ENUMERATE_GOLDEN = [
     (["enumerate", "4", "pf"], 3500, "d75ac841a479442e3f9e47adca9f7fdedbf66d5051a571b19b462835537e47b8"),
     (["enumerate", "4", "bases"], 6500, "766b4da738a63ca6247823054659d10b71e814ce89990fdab20d837df6b208b0"),
-    (["enumerate", "4", "chains"], 16875, "ab0b3bd76bf0a715799b1fe0b904aceeb9bd490f98e3ac359c240c5aa7374832"),
+    (["enumerate", "4", "chains"], 16875, "13d1029caed826bb78067b6b82c1ae2647c1c174bc8729b46785483424c59bbb"),
     (["enumerate", "6", "nondecreasing"], 4488,
      "de046f594b21cb397a0da8abe4122b57ead25a198105a4496b6194dca38ea695"),
     (["enumerate", "6", "bases"], 1142876,

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from parkbases import dbasis, noncrossing, verify
+from parkbases import dbasis, noncrossing
 from parkbases.bijection import reconstruct
 from parkbases.noncrossing import (
     NCChain,
@@ -67,37 +67,38 @@ def test_chain_validation():
     for parts, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             chain_of_partitions(parts)
-    # Hand-built merges that no maximal chain has fail when the partitions are read.
-    not_a_merge = "is not the merge of a maximal chain"
-    cases = [
-        (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),  # 5 is outside {0, 1}
-        (((1, 0),), f"step 1: (1, 0) {not_a_merge}"),  # label above top
-        (((0, True),), f"step 1: (0, True) {not_a_merge}"),  # points are plain ints
-        (((0, 2), (1, 2)), f"step 2: (1, 2) {not_a_merge}"),  # {0, 2} has the smaller minimum
-        (((0, 1), (0, 2)), f"step 2: (0, 2) {not_a_merge}"),  # the label of {0, 1} is 1
-        (((0, 1), (0, 1)), f"step 2: (0, 1) {not_a_merge}"),  # 0 and 1 share a block
-        (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),  # {1, 3} ends at 3
-        (((0, 2), (1, 3), (0, 1)), "blocks (1, 3) and (0, 2) cross"),
-    ]
-    for merges, message in cases:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NCChain(merges).partitions
+
+
+def _basis_error(read, tup):
+    """What read(tup) raises, as (type, code, detail, message); None if it returns."""
+    try:
+        read(tup)
+    except dbasis.BasisError as exc:
+        return type(exc), exc.code, exc.detail, str(exc)
+    return None
 
 
 def test_partition_chain_rejects_too_few_roots():
-    with pytest.raises(ValueError, match=f"^{re.escape('a maximal chain on {0..3} has 4 partitions')}$"):
-        partition_chain((Root(1, 1, 3), Root(2, 2, 3)))
+    tup = (Root(1, 1, 3), Root(2, 2, 3))
+    error = _basis_error(partition_chain, tup)
+    assert error == _basis_error(dbasis.validate_basis, tup) == (
+        dbasis.BasisError, "length", (), "expected 3 roots, got 2")
 
 
 def test_partition_chain_rejects_a_root_of_larger_rank():
-    with pytest.raises(ValueError, match=f"^{re.escape('arc (0, 3) out of range for rank 1')}$"):
-        partition_chain((Root(1, 1, 1), Root(1, 3, 3)))
+    tup = (Root(1, 1, 2), Root(1, 3, 3))
+    error = _basis_error(partition_chain, tup)
+    assert error == _basis_error(dbasis.validate_basis, tup) == (
+        dbasis.BasisError, "rank", (), "root e[1,3] has rank 3, expected 2")
 
 
-@pytest.mark.parametrize("read", [partition_chain, dbasis.to_arcs])
-def test_roots_of_mixed_ranks_are_rejected(read):
+@pytest.mark.parametrize("read, message", [
+    (partition_chain, "root e[1,1] has rank 1, expected 2"),  # as validate_basis words it
+    (dbasis.to_arcs, "rank mismatch: 2 != 1"),
+], ids=["partition_chain", "to_arcs"])
+def test_roots_of_mixed_ranks_are_rejected(read, message):
     # The right ends fit the first rank, so only the rank comparison can reject the tuple.
-    with pytest.raises(ValueError, match=f"^{re.escape('rank mismatch: 2 != 1')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read((Root(1, 2, 2), Root(1, 1, 1)))
 
 
@@ -125,21 +126,22 @@ def test_partition_chain_builds_no_arc_diagram(monkeypatch):
 
 
 def test_chain_to_basis_rejects_what_partitions_rejects():
-    # The hand-built merges of test_chain_validation, with the messages `partitions` raises.
+    # Hand-built merges that no maximal chain has, and the message each reading raises.
     not_a_merge = "is not the merge of a maximal chain"
     cases = [
-        (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),
-        (((1, 0),), f"step 1: (1, 0) {not_a_merge}"),
-        (((0, True),), f"step 1: (0, True) {not_a_merge}"),
-        (((0, 2), (1, 2)), f"step 2: (1, 2) {not_a_merge}"),
-        (((0, 1), (0, 2)), f"step 2: (0, 2) {not_a_merge}"),
-        (((0, 1), (0, 1)), f"step 2: (0, 1) {not_a_merge}"),
-        (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),
+        (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),  # 5 is outside {0, 1}
+        (((1, 0),), f"step 1: (1, 0) {not_a_merge}"),  # label above top
+        (((0, True),), f"step 1: (0, True) {not_a_merge}"),  # points are plain ints
+        (((0, 2), (1, 2)), f"step 2: (1, 2) {not_a_merge}"),  # {0, 2} has the smaller minimum
+        (((0, 1), (0, 2)), f"step 2: (0, 2) {not_a_merge}"),  # the label of {0, 1} is 1
+        (((0, 1), (0, 1)), f"step 2: (0, 1) {not_a_merge}"),  # 0 and 1 share a block
+        (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),  # {1, 3} ends at 3
         (((0, 2), (1, 3), (0, 1)), "blocks (1, 3) and (0, 2) cross"),
     ]
-    for merges, message in cases:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            chain_to_basis(NCChain(merges))
+    for read in (lambda chain: chain.partitions, chain_to_basis):
+        for merges, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(NCChain(merges))
 
 
 def test_chain_product_rejection_is_never_overruled(monkeypatch):
@@ -150,9 +152,9 @@ def test_chain_product_rejection_is_never_overruled(monkeypatch):
 
 def test_a_basis_is_its_own_chain(monkeypatch):
     def refuse(*args):
-        raise AssertionError("partition_chain joins the arcs of a basis")
+        raise AssertionError("partition_chain validates or partitions a basis")
 
-    monkeypatch.setattr(noncrossing, "_join", refuse)
+    monkeypatch.setattr(noncrossing, "validate_basis", refuse)
     monkeypatch.setattr(noncrossing, "NCPartition", refuse)
     n = 3200  # long single blocks, where joining arc by arc is quadratic
     long_bases = [reconstruct(f) for f in ((1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
@@ -275,14 +277,10 @@ def test_chain_merges_are_the_merge_of_each_step(n):
         assert chain_of_partitions(chain.partitions) == chain
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_stanley_bijection(n):
-    verify.check_chain_counts(n)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_composite_identity_and_round_trip(n):
-    verify.check_chain_identity(n)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chains_come_in_bases_order(n):
+    arcs = [tuple((r.lo - 1, r.hi) for r in basis) for basis in dbasis.distinguished_bases(n)]
+    assert [chain.merges for chain in maximal_chains(n)] == arcs
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -337,24 +335,19 @@ def _near_bases(n, count=40):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 10, 11, 12])
 def test_partition_chain_matches_component_oracle(n):
     # Every n-tuple of positive roots, valid basis or not, up to n = 4; near misses beyond.
-    # Each tuple less its last root too: the first fault the oracle meets names the error.
-    too_few = re.escape(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
-    faults = {"cycle": "^arcs of a basis never close a cycle$", "crossing": "cross$"}
+    # Each tuple less its last root too.  A basis's chain is its component history; any
+    # other tuple raises exactly what validate_basis raises.
     tuples = itertools.product(list(positive_roots(n)), repeat=n) if n <= 4 else _near_bases(n)
     for tup in itertools.chain.from_iterable((full, full[:-1]) for full in tuples):
         if not tup:  # no first root to read a rank from: the chain on {0}
             assert partition_chain(tup) == NCChain(())
             continue
-        fault = f"^{too_few}$" if len(tup) < n else None
-        try:
+        error = _basis_error(dbasis.validate_basis, tup)
+        if error is None:
             expected = _component_history([(r.lo - 1, r.hi) for r in tup], n)
-        except ValueError as error:
-            fault = faults[str(error)]
-        if fault is None:
             assert [list(p.blocks) for p in partition_chain(tup).partitions] == expected, tup
         else:
-            with pytest.raises(ValueError, match=fault):
-                partition_chain(tup)
+            assert _basis_error(partition_chain, tup) == error, tup
 
 
 def test_shifted_labels_are_parking_rank6():

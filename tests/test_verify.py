@@ -85,6 +85,23 @@ def test_chain_counts_reads_each_label_twice(monkeypatch):
     assert entry["ok"] is False and "step" in entry["counterexample"]
 
 
+def test_chain_counts_counts_the_joins(monkeypatch):
+    # Refusing the join of 0 and 1 from the singletons loses the 3 chains above it.
+    partition = noncrossing.partition
+
+    def refuse_one(blocks):
+        joined = partition(blocks)
+        if joined.blocks == ((0, 1), (2,), (3,)):
+            raise ValueError("refused")
+        return joined
+
+    monkeypatch.setattr(noncrossing, "partition", refuse_one)
+    report = verify.run_suite(3, "noncrossing")
+    entry = next(c for c in report["checks"] if c["name"] == "chain_counts")
+    assert entry["ok"] is False
+    assert entry["counterexample"] == {"count": 16, "distinct": 16, "joins": 13, "expected": 16}
+
+
 def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
     # validate_basis never reads the arc rules, so only this check sees them break.
     monkeypatch.setattr(dbasis, "_check_arcs", lambda arcs: None)
