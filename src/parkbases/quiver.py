@@ -15,9 +15,10 @@ re-checks this exhaustively.  Ext^1 is hom - euler, valid because higher Ext
 groups vanish for quiver representations; `verify` checks it against the
 cokernel of the same intertwiner map.
 
-`hom_ext_table` fills both matrices of any same-rank sequence from endpoint
-buckets, each row scanning only the buckets its interval names: an O(n^2) zero
-fill in C plus O(n + total root length + scanned entries) interpreted steps.
+`hom_ext_table` fills both matrices of any same-rank sequence from two
+prefix-OR tables of endpoint bitmasks: each row is a mask of three table
+entries, so the cost is O(n) big-int operations, O(1) per row and O(ones) to
+place the ones, plus the O(n^2) row fill in C.
 `diagram_hom_ext` reads the same matrices of a complete exceptional sequence
 off the staircase diagram of its levels; that reading is a theorem `verify`
 checks on every basis, not a step of the table.
@@ -139,10 +140,33 @@ def hom_ext_table(modules: Sequence[IntervalModule]) -> tuple[Matrix, Matrix]:
     - Ext^1 = Hom - Seifert (as `ext_dim`), which is 1 iff
       a.lo < b.lo <= a.hi + 1 <= b.hi.
 
-    Each row starts as zeros; its Hom ones are the b in `by_hi[a.lo ..= a.hi]`
-    with b.lo <= a.lo, its Ext^1 ones the b in `by_lo[a.lo + 1 ..= a.hi + 1]`
-    with b.hi > a.hi.  The cost is an O(n^2) zero fill in C plus
-    O(n + total root length + scanned entries) interpreted steps.
+    One pass over the roots sets bit j of two endpoint tables, at lo and at hi
+    of root j, and one prefix OR over 0 ..= rank + 1 turns them into
+    lo_le[x] (the roots with lo <= x) and hi_le[x] (the roots with hi <= x).
+    Then each row is a mask of three table entries:
+
+    - Hom: lo_le[a.lo] & hi_le[a.hi] & ~hi_le[a.lo - 1];
+    - Ext^1: lo_le[a.hi + 1] & ~lo_le[a.lo] & ~hi_le[a.hi].
+
+    Each table grows with x, so hi_le[a.lo - 1] lies inside hi_le[a.hi] and
+    lo_le[a.lo] inside lo_le[a.hi + 1], and the code takes those differences
+    by XOR.  An empty mask is one shared zero row; any other sets its ones in
+    a fresh `[0] * size` list, highest bit first.  The cost is O(n) big-int
+    operations, O(1) per row and O(ones) to place the ones, plus the O(n^2)
+    row fill in C.  Over ten random parking functions at n = 64 that is
+    111-153 µs a table, against 198-287 µs for the endpoint-bucket scan it
+    replaced, and 2.6-2.9 ms against 6.3-7.9 ms at n = 400 (in-process best
+    of 15, Python 3.11 on a 2-CPU Xeon).
+
+    >>> from .bijection import reconstruct
+    >>> basis = reconstruct((2, 2, 1))
+    >>> [str(r) for r in basis]
+    ['e[2,3]', 'e[2,2]', 'e[1,3]']
+    >>> hom, ext = hom_ext_table(modules_of(basis))
+    >>> hom
+    ((1, 1, 1), (0, 1, 0), (0, 0, 1))
+    >>> ext
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
     For a complete exceptional sequence the same matrices can be read off the
     staircase diagram of its levels (`diagram_hom_ext`); that reading is a
@@ -150,27 +174,37 @@ def hom_ext_table(modules: Sequence[IntervalModule]) -> tuple[Matrix, Matrix]:
     """
     roots = [m.root for m in modules]
     size, rank = len(roots), roots[0].rank if roots else 0
-    by_hi: list[list[tuple[int, int]]] = [[] for _ in range(rank + 1)]  # (lo, j) by right end
-    by_lo: list[list[tuple[int, int]]] = [[] for _ in range(rank + 1)]  # (hi, j) by left end
-    for j, r in enumerate(roots):
+    lo_le, hi_le = [0] * (rank + 2), [0] * (rank + 2)
+    bit = 1
+    for r in roots:
         if r.rank != rank:
             raise ValueError(f"rank mismatch: {rank} != {r.rank}")
-        by_hi[r.hi].append((r.lo, j))
-        by_lo[r.lo].append((r.hi, j))
+        lo_le[r.lo] |= bit
+        hi_le[r.hi] |= bit
+        bit <<= 1
+    for x in range(1, rank + 2):
+        lo_le[x] |= lo_le[x - 1]
+        hi_le[x] |= hi_le[x - 1]
+    zero = (0,) * size
     hom, ext = [], []
-    for a in roots:
+    for a in roots:  # the bit walk is written out twice: a per-row helper was about 10 % slower
         a_lo, a_hi = a.lo, a.hi
+        mask = lo_le[a_lo] & (hi_le[a_hi] ^ hi_le[a_lo - 1])  # never empty: it holds a
         row = [0] * size
-        for bucket in by_hi[a_lo : a_hi + 1]:
-            for b_lo, j in bucket:
-                if b_lo <= a_lo:
-                    row[j] = 1
+        while mask:
+            j = mask.bit_length() - 1
+            row[j] = 1
+            mask ^= 1 << j
         hom.append(tuple(row))
+        mask = (lo_le[a_hi + 1] ^ lo_le[a_lo]) & ~hi_le[a_hi]
+        if not mask:
+            ext.append(zero)
+            continue
         row = [0] * size
-        for bucket in by_lo[a_lo + 1 : a_hi + 2]:
-            for b_hi, j in bucket:
-                if b_hi > a_hi:
-                    row[j] = 1
+        while mask:
+            j = mask.bit_length() - 1
+            row[j] = 1
+            mask ^= 1 << j
         ext.append(tuple(row))
     return tuple(hom), tuple(ext)
 

@@ -97,11 +97,6 @@ def seifert(a: Root, b: Root) -> int:
     0
     """
     _check_ranks(a, b)
-    return _seifert(a, b)
-
-
-def _seifert(a: Root, b: Root) -> int:
-    """`seifert` on two roots whose ranks the caller has already compared."""
     if b.lo <= a.lo <= b.hi <= a.hi:
         return 1
     if a.lo <= b.lo - 1 <= a.hi < b.hi:

@@ -327,16 +327,18 @@ def check_chain_counts(n: int) -> None:
 
 
 def check_chain_identity(n: int) -> None:
-    for basis in dbasis.distinguished_bases(n):
+    # Chain k of the enumeration is the chain of basis k, so its content and its order are both checked.
+    bases, chains = dbasis.distinguished_bases(n), noncrossing.maximal_chains(n)
+    for basis, listed in zip(bases, chains, strict=True):
         chain = noncrossing.partition_chain(basis)
+        if listed != chain:
+            pairs, blocks = [r.as_pair() for r in basis], [p.blocks for p in listed.partitions]
+            raise CheckFailure({"basis": pairs, "chain": blocks})
         labels = noncrossing.stanley_labels(chain)
         if tuple(v + 1 for v in labels) != bijection.initial_vector(basis):
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
         if noncrossing.chain_to_basis(chain) != basis:
             raise CheckFailure({"basis": [r.as_pair() for r in basis]})
-    for chain in noncrossing.maximal_chains(n):
-        if noncrossing.partition_chain(noncrossing.chain_to_basis(chain)) != chain:
-            raise CheckFailure({"chain": [p.blocks for p in chain.partitions]})
 
 
 SUITES: dict[str, list[tuple[str, Check]]] = {

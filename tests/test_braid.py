@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from parkbases import bijection, braid
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.braid import (
-    _combine,
     apply_word,
     apply_word_parking,
     arc_mutation_target,
@@ -25,7 +25,7 @@ from parkbases.dbasis import validate_basis
 from parkbases.parking import catalan, from_diagram, parking_functions, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs, long_families
+from helpers import all_bases, all_pfs, basis_of_pairs, long_families, random_parking
 
 from helpers import ALPHA1_RANK3, ALPHA2_RANK3
 
@@ -242,16 +242,40 @@ def _combine_by_coefficients(a, s, b):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_combine_matches_coefficient_vector(n):
-    # Every (a, s, b): the endpoint reading agrees on the value and on when it raises.
+    # Every ordered pair under alpha_1 and beta_1: the value, and the exact text when it raises.
     for a in positive_roots(n):
         for b in positive_roots(n):
-            for s in (-1, 0, 1):
-                expected = _combine_by_coefficients(a, s, b)
-                if expected is None:
-                    with pytest.raises(RuntimeError, match=f"^{re.escape(f'{a} - {s}*{b}')} is not a signed root$"):
-                        _combine(a, s, b)
+            s = seifert(a, b)
+            for letter, x, y in ((1, a, b), (-1, b, a)):
+                c = _combine_by_coefficients(x, s, y)
+                if c is None:
+                    with pytest.raises(RuntimeError, match=f"^{re.escape(f'{x} - {s}*{y}')} is not a signed root$"):
+                        apply_word((a, b), (letter,))
                 else:
-                    assert _combine(a, s, b) == expected
+                    assert apply_word((a, b), (letter,)) == ((b, c) if letter > 0 else (c, a))
+
+
+def _apply_word_by_coefficients(basis, word):
+    """`apply_word` letter by letter, each mutated root read off its coefficient vector."""
+    current = list(basis)
+    for letter in word:
+        k = abs(letter)
+        a, b = current[k - 1], current[k]
+        s = seifert(a, b)
+        if letter > 0:
+            current[k - 1], current[k] = b, _combine_by_coefficients(a, s, b)
+        else:
+            current[k - 1], current[k] = _combine_by_coefficients(b, s, a), a
+    return tuple(current)
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_long_words_match_coefficient_vector(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        basis = reconstruct(random_parking(rng, n))
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(2 * n))
+        assert apply_word(basis, word) == _apply_word_by_coefficients(basis, word)
 
 
 def _apply(t, x):

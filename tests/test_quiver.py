@@ -159,6 +159,22 @@ def test_hom_ext_table_matches_cells_on_root_tuples(length):
     assert hom_ext_table(mods) == _cells(mods)
 
 
+@st.composite
+def _root_tuples(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    lo_hi = st.integers(min_value=1, max_value=n).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo, max_value=n))
+    )
+    return [Root(lo, hi, n) for lo, hi in draw(st.lists(lo_hi, max_size=12))]
+
+
+@given(_root_tuples())
+def test_hom_ext_table_matches_cells_property(tup):
+    # Any same-rank tuple, repeats allowed: the endpoint masks agree with the per-cell closed forms.
+    mods = modules_of(tup)
+    assert hom_ext_table(mods) == _cells(mods)
+
+
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_hom_ext_table_on_copies_of_the_longest_root(n):
     mods = modules_of([Root(1, n, n)] * n)

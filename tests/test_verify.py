@@ -102,6 +102,20 @@ def test_chain_counts_counts_the_joins(monkeypatch):
     assert entry["counterexample"] == {"count": 16, "distinct": 16, "joins": 13, "expected": 16}
 
 
+def test_chain_identity_reads_the_enumeration_order(monkeypatch):
+    # The same chains in reverse order still pass chain_counts; only chain_identity sees the order.
+    maximal_chains = noncrossing.maximal_chains
+    monkeypatch.setattr(noncrossing, "maximal_chains", lambda n: reversed(list(maximal_chains(n))))
+    checks = {c["name"]: c for c in verify.run_suite(3, "noncrossing")["checks"]}
+    assert checks["chain_counts"]["ok"] is True
+    entry = checks["chain_identity"]
+    assert entry["ok"] is False
+    assert entry["counterexample"] == {
+        "basis": [(1, 1), (2, 2), (3, 3)],
+        "chain": [((0,), (1,), (2,), (3,)), ((0,), (1,), (2, 3)), ((0,), (1, 2, 3)), ((0, 1, 2, 3),)],
+    }
+
+
 def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
     # validate_basis never reads the arc rules, so only this check sees them break.
     monkeypatch.setattr(dbasis, "_check_arcs", lambda arcs: None)
