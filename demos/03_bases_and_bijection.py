@@ -3,15 +3,14 @@
 
 A basis is an ordered tuple of positive roots whose Seifert matrix is
 upper-triangular.  Reading off the left endpoints gives a parking function,
-and that map is a bijection: the basis can be rebuilt either algebraically or
-by shooting rays on the staircase diagram.
+and that map is a bijection: the basis is rebuilt by shooting rays on the
+staircase diagram, or, when f is a permutation, by a shortcut.
 """
 from parkbases import (
     distinguished_bases,
     gap,
     initial_vector,
     reconstruct,
-    reconstruct_geometric,
     reconstruct_permutation,
     to_arcs,
     validate_basis,
@@ -26,13 +25,11 @@ print("\ncounts match the parking functions:")
 for n in range(1, 6):
     print(f"  rank {n}: {sum(1 for _ in distinguished_bases(n))} bases")
 
-print("\nreconstructing from a parking function, three ways:")
+print("\nreconstructing from a parking function:")
 f = (2, 2, 1)
-algebraic = reconstruct(f)
-geometric = reconstruct_geometric(f)
+rebuilt = reconstruct(f)
 print(f"  f = {f}")
-print("  algebraic:", ", ".join(map(str, algebraic)))
-print("  geometric:", ", ".join(map(str, geometric)), "(same)" if algebraic == geometric else "")
+print("  ray stops:", ", ".join(map(str, rebuilt)), f"(initial vector {initial_vector(rebuilt)})")
 sigma = (3, 1, 2)
 print(f"  permutation shortcut for {sigma}:", ", ".join(map(str, reconstruct_permutation(sigma))))
 
@@ -46,4 +43,4 @@ print(arcs_ascii(to_arcs(basis)))
 
 print("every root of a basis covers exactly one point no smaller root covers:")
 for i in range(1, 4):
-    print(f"  gap of position {i} in {tuple(map(str, algebraic))}: {gap(algebraic, i)}")
+    print(f"  gap of position {i} in {tuple(map(str, rebuilt))}: {gap(rebuilt, i)}")

@@ -12,13 +12,20 @@ other suites, which read no flipped value, are rejected with ValueError.  This
 self-tests that the harness checks something.  The flag lives in a context
 variable set for the duration of one `run_suite` call, so runs nest and run in
 parallel threads without mixing.
+
+Each per-object identity is a predicate `(obj, n)` over a source, which pairs
+the objects of size n with the counterexample fields naming one.  The source
+makes the predicate a check `(n) -> None`: a false return means the identity
+holds on obj, and a true one raises CheckFailure with the object's fields,
+followed by the returned ones when it is a dict.  Both read library functions
+through their modules at call time.
 """
 from __future__ import annotations
 
 import contextvars
 import functools
 import itertools
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import bijection, braid, dbasis, linalg, noncrossing, parking, quiver, roots
 
@@ -29,6 +36,34 @@ class CheckFailure(Exception):
     def __init__(self, counterexample):
         super().__init__(str(counterexample))
         self.counterexample = counterexample
+
+
+def _source(objects: Callable[[int], Iterable], fields: Callable) -> Callable[[Callable], Check]:
+    """The source `objects(n)`, named by `fields`: decorates a predicate `(obj, n)` into its check."""
+    def check_of(predicate: Callable) -> Check:
+        @functools.wraps(predicate)
+        def check(n: int) -> None:
+            for obj in objects(n):
+                if failure := predicate(obj, n):
+                    extra = failure if isinstance(failure, dict) else {}
+                    raise CheckFailure({**fields(obj), **extra})
+        return check
+    return check_of
+
+
+_PAIRS = _source(lambda n: itertools.product(roots.positive_roots(n), repeat=2),
+                 lambda pair: {"a": pair[0].as_pair(), "b": pair[1].as_pair()})
+_BASES = _source(lambda n: dbasis.distinguished_bases(n),
+                 lambda basis: {"basis": [r.as_pair() for r in basis]})
+_PARKING = _source(lambda n: parking.parking_functions(n), lambda f: {"f": list(f)})
+_NONDECREASING = _source(lambda n: parking.nondecreasing_parking_functions(n), lambda f: {"f": list(f)})
+_PERMUTATIONS = _source(lambda n: itertools.permutations(range(1, n + 1)), lambda s: {"sigma": list(s)})
+# Every root tuple of rank min(n, 4); larger ranks are covered through the bases.
+_TUPLES = _source(lambda n: itertools.product(roots.positive_roots(min(n, 4)), repeat=min(n, 4)),
+                  lambda tup: {"roots": [r.as_pair() for r in tup]})
+_LISTED_CHAINS = _source(  # basis k beside chain k of the listing
+    lambda n: zip(dbasis.distinguished_bases(n), noncrossing.maximal_chains(n), strict=True),
+    lambda listed: {"basis": [r.as_pair() for r in listed[0]]})
 
 
 def bilinear_seifert(a: roots.Root, b: roots.Root) -> int:
@@ -54,20 +89,16 @@ def _seifert(a: roots.Root, b: roots.Root) -> int:
     return value
 
 
-def check_seifert_bilinear(n: int) -> None:
-    for a in roots.positive_roots(n):
-        for b in roots.positive_roots(n):
-            if _seifert(a, b) != bilinear_seifert(a, b):
-                raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
+@_PAIRS
+def check_seifert_bilinear(pair, n):
+    return _seifert(*pair) != bilinear_seifert(*pair)
 
 
-def check_seifert_cases_exclusive(n: int) -> None:
+@_PAIRS
+def check_seifert_cases_exclusive(pair, n):
     # The two cases of the Seifert table: Hom and Ext^1 are never both nonzero.
-    for a in roots.positive_roots(n):
-        for b in roots.positive_roots(n):
-            v, w = quiver.IntervalModule(a), quiver.IntervalModule(b)
-            if quiver.hom_dim(v, w) and quiver.ext_dim(v, w):
-                raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
+    v, w = quiver.IntervalModule(pair[0]), quiver.IntervalModule(pair[1])
+    return quiver.hom_dim(v, w) and quiver.ext_dim(v, w)
 
 
 def _bilinear_cartan(a: roots.Root, b: roots.Root) -> int:
@@ -75,11 +106,9 @@ def _bilinear_cartan(a: roots.Root, b: roots.Root) -> int:
     return sum({0: 2, 1: -1}.get(abs(i - j), 0) for i in a.support() for j in b.support())
 
 
-def check_cartan(n: int) -> None:
-    for a in roots.positive_roots(n):
-        for b in roots.positive_roots(n):
-            if roots.cartan(a, b) != _bilinear_cartan(a, b):
-                raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
+@_PAIRS
+def check_cartan(pair, n):
+    return roots.cartan(*pair) != _bilinear_cartan(*pair)
 
 
 def check_counts(n: int) -> None:
@@ -89,13 +118,15 @@ def check_counts(n: int) -> None:
         raise CheckFailure({"parking": pf, "bases": bases, "expected": dbasis.basis_count(n)})
 
 
+@_BASES
+def _returns_from_its_vector(basis, n):
+    return bijection.reconstruct(bijection.initial_vector(basis)) != basis
+
+
 def check_round_trips(n: int) -> None:
     # Each basis returns from its initial vector, and the vectors are all of PF_n.
-    vectors = set()
-    for basis in dbasis.distinguished_bases(n):
-        vectors.add(f := bijection.initial_vector(basis))
-        if bijection.reconstruct(f) != basis:
-            raise CheckFailure({"basis": [r.as_pair() for r in basis]})
+    _returns_from_its_vector(n)
+    vectors = {bijection.initial_vector(basis) for basis in dbasis.distinguished_bases(n)}
     for f in parking.parking_functions(n):
         if f not in vectors:
             raise CheckFailure({"f": list(f)})
@@ -119,73 +150,68 @@ def _algebraic_basis(f: tuple[int, ...]) -> tuple[roots.Root, ...]:
     return tuple(roots.Root(f[k], masks[k].bit_length() - 1, n) for k in range(n))
 
 
-def check_geometric(n: int) -> None:
-    for f in parking.parking_functions(n):
-        if bijection.reconstruct_geometric(f) != _algebraic_basis(f):
-            raise CheckFailure({"f": list(f)})
+@_PARKING
+def check_geometric(f, n):
+    return bijection.reconstruct_geometric(f) != _algebraic_basis(f)
 
 
-def check_permutation_shortcut(n: int) -> None:
-    for sigma in itertools.permutations(range(1, n + 1)):
-        if bijection.reconstruct_permutation(sigma) != bijection.reconstruct(sigma):
-            raise CheckFailure({"sigma": list(sigma)})
+@_PERMUTATIONS
+def check_permutation_shortcut(sigma, n):
+    return bijection.reconstruct_permutation(sigma) != bijection.reconstruct(sigma)
 
 
-def check_gap_single(n: int) -> None:
-    for basis in dbasis.distinguished_bases(n):
-        for i in range(1, n + 1):
-            dbasis.gap(basis, i)  # raises unless a single point
+@_BASES
+def check_gap_single(basis, n):
+    for i in range(1, n + 1):
+        dbasis.gap(basis, i)  # raises unless a single point
 
 
-def check_validate_accepts(n: int) -> None:
-    for basis in dbasis.distinguished_bases(n):
-        dbasis.validate_basis(basis, n)
+@_BASES
+def check_validate_accepts(basis, n):
+    dbasis.validate_basis(basis, n)
 
 
-def check_braid_axioms(n: int) -> None:
-    for basis in dbasis.distinguished_bases(n):
-        lefts = {}
-        for k in range(1, n):
-            left = lefts[k] = braid.mutate(basis, k, "left")
-            dbasis.validate_basis(left, n)
-            if braid.mutate(left, k, "right") != basis or braid.apply_word(basis, (-k, k)) != basis:
-                raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k})
-            order = braid.generator_order(basis, k)
-            current, length = left, 1
-            while current != basis and length <= order:
-                current = braid.mutate(current, k, "left")
-                length += 1
-            if order not in (2, 3) or length != order:
-                raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k, "order": order})
-        for k in range(1, n - 1):
-            if braid.apply_word(lefts[k], (k + 1, k)) != braid.apply_word(lefts[k + 1], (k, k + 1)):
-                raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k})
-        for k, m in itertools.combinations(range(1, n), 2):
-            if m - k > 1 and braid.mutate(lefts[k], m, "left") != braid.mutate(lefts[m], k, "left"):
-                raise CheckFailure({"basis": [r.as_pair() for r in basis], "k": k, "m": m})
+@_BASES
+def check_braid_axioms(basis, n):
+    lefts = {}
+    for k in range(1, n):
+        left = lefts[k] = braid.mutate(basis, k, "left")
+        dbasis.validate_basis(left, n)
+        if braid.mutate(left, k, "right") != basis or braid.apply_word(basis, (-k, k)) != basis:
+            return {"k": k}
+        order = braid.generator_order(basis, k)
+        current, length = left, 1
+        while current != basis and length <= order:
+            current = braid.mutate(current, k, "left")
+            length += 1
+        if order not in (2, 3) or length != order:
+            return {"k": k, "order": order}
+    for k in range(1, n - 1):
+        if braid.apply_word(lefts[k], (k + 1, k)) != braid.apply_word(lefts[k + 1], (k, k + 1)):
+            return {"k": k}
+    for k, m in itertools.combinations(range(1, n), 2):
+        if m - k > 1 and braid.mutate(lefts[k], m, "left") != braid.mutate(lefts[m], k, "left"):
+            return {"k": k, "m": m}
 
 
-def check_diagram_mutation(n: int) -> None:
-    for f in parking.parking_functions(n):
-        diagram = parking.to_diagram(f)
-        basis = bijection.reconstruct(f)
-        for k in range(1, n):
-            for direction in ("left", "right"):
-                via_diagram = parking.from_diagram(braid.mutate_diagram(diagram, k, direction))
-                if via_diagram != bijection.initial_vector(braid.mutate(basis, k, direction)):
-                    raise CheckFailure({"f": list(f), "k": k, "direction": direction})
+@_PARKING
+def check_diagram_mutation(f, n):
+    diagram, basis = parking.to_diagram(f), bijection.reconstruct(f)
+    for k, direction in itertools.product(range(1, n), ("left", "right")):
+        via_diagram = parking.from_diagram(braid.mutate_diagram(diagram, k, direction))
+        if via_diagram != bijection.initial_vector(braid.mutate(basis, k, direction)):
+            return {"k": k, "direction": direction}
 
 
-def check_flips(n: int) -> None:
-    for f in parking.nondecreasing_parking_functions(n):
-        young = braid.young_of_diagram(parking.to_diagram(f))
-        neighbours = {braid.flip_row(young, k) for k in range(1, n + 1)} | {young}
-        basis = bijection.reconstruct(f)
-        for k in range(1, n):
-            for direction in ("left", "right"):
-                moved = bijection.initial_vector(braid.mutate(basis, k, direction))
-                if braid.young_of_diagram(parking.to_diagram(moved)) not in neighbours:
-                    raise CheckFailure({"f": list(f), "k": k, "direction": direction})
+@_NONDECREASING
+def check_flips(f, n):
+    young = braid.young_of_diagram(parking.to_diagram(f))
+    neighbours = {braid.flip_row(young, k) for k in range(1, n + 1)} | {young}
+    basis = bijection.reconstruct(f)
+    for k, direction in itertools.product(range(1, n), ("left", "right")):
+        moved = bijection.initial_vector(braid.mutate(basis, k, direction))
+        if braid.young_of_diagram(parking.to_diagram(moved)) not in neighbours:
+            return {"k": k, "direction": direction}
 
 
 def _ext_dim_oracle(v: quiver.IntervalModule, w: quiver.IntervalModule) -> int:
@@ -194,24 +220,21 @@ def _ext_dim_oracle(v: quiver.IntervalModule, w: quiver.IntervalModule) -> int:
     return len(rows) - linalg.rank(rows)
 
 
-def check_hom_oracle(n: int) -> None:
+@_PAIRS
+def check_hom_oracle(pair, n):
     # Hom, Ext^1 and the Euler identity Seifert = Hom - Ext^1 against the intertwiner map.
-    for a in roots.positive_roots(n):
-        for b in roots.positive_roots(n):
-            v, w = quiver.IntervalModule(a), quiver.IntervalModule(b)
-            hom, ext = quiver.hom_dim_oracle(v, w), _ext_dim_oracle(v, w)
-            if quiver.hom_dim(v, w) != hom or quiver.ext_dim(v, w) != ext or _seifert(a, b) != hom - ext:
-                raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
+    a, b = pair
+    v, w = quiver.IntervalModule(a), quiver.IntervalModule(b)
+    hom, ext = quiver.hom_dim_oracle(v, w), _ext_dim_oracle(v, w)
+    return quiver.hom_dim(v, w) != hom or quiver.ext_dim(v, w) != ext or _seifert(a, b) != hom - ext
 
 
-def check_ext_formula(n: int) -> None:
-    for a in roots.positive_roots(n):
-        for b in roots.positive_roots(n):
-            if roots.seifert(b, a) == 0:
-                v, w = quiver.IntervalModule(a), quiver.IntervalModule(b)
-                expected = 1 if a.hi + 1 == b.lo else 0
-                if quiver.ext_dim(v, w) != expected:
-                    raise CheckFailure({"a": a.as_pair(), "b": b.as_pair()})
+@_PAIRS
+def check_ext_formula(pair, n):
+    a, b = pair
+    if roots.seifert(b, a) == 0:
+        expected = 1 if a.hi + 1 == b.lo else 0
+        return quiver.ext_dim(quiver.IntervalModule(a), quiver.IntervalModule(b)) != expected
 
 
 def _accepts(check: Callable, arg) -> bool:
@@ -222,43 +245,37 @@ def _accepts(check: Callable, arg) -> bool:
         return False
 
 
-def check_exceptional_matches_validate(n: int) -> None:
+def _selected_alike(tup, n):
     # Exceptional sequences, triangular Seifert bases (`validate_basis`), the pairwise arc
     # rules (1)-(4) read directly and `from_arcs` (the cycle product) select the same tuples.
-    size = min(n, 4)  # exhaustive tuple space; larger ranks are covered via bases
-    all_roots = list(roots.positive_roots(size))
-    for tup in itertools.product(all_roots, repeat=size):
-        valid = dbasis.is_basis(tup, size)
-        if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != valid:
-            raise CheckFailure({"roots": [r.as_pair() for r in tup]})
-        diagram = dbasis.to_arcs(tup)
-        if _accepts(dbasis._check_arcs, diagram.arcs) != valid:
-            raise CheckFailure({"roots": [r.as_pair() for r in tup], "arc_rules": not valid})
-        if _accepts(dbasis.from_arcs, diagram) != valid:
-            raise CheckFailure({"roots": [r.as_pair() for r in tup], "from_arcs": not valid})
-    for basis in dbasis.distinguished_bases(n):
-        if not quiver.is_exceptional_sequence(quiver.modules_of(basis)):
-            raise CheckFailure({"basis": [r.as_pair() for r in basis]})
-        diagram = dbasis.to_arcs(basis)
-        if not _accepts(dbasis._check_arcs, diagram.arcs):
-            raise CheckFailure({"basis": [r.as_pair() for r in basis], "arc_rules": False})
-        if not _accepts(dbasis.from_arcs, diagram):
-            raise CheckFailure({"basis": [r.as_pair() for r in basis], "from_arcs": False})
+    valid = dbasis.is_basis(tup, len(tup))
+    if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != valid:
+        return True
+    diagram = dbasis.to_arcs(tup)
+    if _accepts(dbasis._check_arcs, diagram.arcs) != valid:
+        return {"arc_rules": not valid}
+    if _accepts(dbasis.from_arcs, diagram) != valid:
+        return {"from_arcs": not valid}
 
 
-def check_hom_ext_table(n: int) -> None:
+def check_exceptional_matches_validate(n: int) -> None:
+    _TUPLES(_selected_alike)(n)
+    _BASES(_selected_alike)(n)
+
+
+@_BASES
+def check_hom_ext_table(basis, n):
     # The one-pass table against per-cell hom_dim/ext_dim and the diagram reading.
-    for basis in dbasis.distinguished_bases(n):
-        mods = quiver.modules_of(basis)
-        table = quiver.hom_ext_table(mods)
-        cells = (
-            tuple(tuple(quiver.hom_dim(a, b) for b in mods) for a in mods),
-            tuple(tuple(quiver.ext_dim(a, b) for b in mods) for a in mods),
-        )
-        if table != cells:
-            raise CheckFailure({"basis": [r.as_pair() for r in basis], "reading": "cells"})
-        if quiver.diagram_hom_ext(bijection.initial_vector(basis)) != table:
-            raise CheckFailure({"basis": [r.as_pair() for r in basis], "reading": "diagram"})
+    mods = quiver.modules_of(basis)
+    table = quiver.hom_ext_table(mods)
+    cells = (
+        tuple(tuple(quiver.hom_dim(a, b) for b in mods) for a in mods),
+        tuple(tuple(quiver.ext_dim(a, b) for b in mods) for a in mods),
+    )
+    if table != cells:
+        return {"reading": "cells"}
+    if quiver.diagram_hom_ext(bijection.initial_vector(basis)) != table:
+        return {"reading": "diagram"}
 
 
 def check_nondecreasing_families(n: int) -> None:
@@ -326,19 +343,17 @@ def check_chain_counts(n: int) -> None:
         raise CheckFailure({"labels": len(shifted)})
 
 
-def check_chain_identity(n: int) -> None:
+@_LISTED_CHAINS
+def check_chain_identity(listed, n):
     # Chain k of the enumeration is the chain of basis k, so its content and its order are both checked.
-    bases, chains = dbasis.distinguished_bases(n), noncrossing.maximal_chains(n)
-    for basis, listed in zip(bases, chains, strict=True):
-        chain = noncrossing.partition_chain(basis)
-        if listed != chain:
-            pairs, blocks = [r.as_pair() for r in basis], [p.blocks for p in listed.partitions]
-            raise CheckFailure({"basis": pairs, "chain": blocks})
-        labels = noncrossing.stanley_labels(chain)
-        if tuple(v + 1 for v in labels) != bijection.initial_vector(basis):
-            raise CheckFailure({"basis": [r.as_pair() for r in basis]})
-        if noncrossing.chain_to_basis(chain) != basis:
-            raise CheckFailure({"basis": [r.as_pair() for r in basis]})
+    basis, chain_k = listed
+    chain = noncrossing.partition_chain(basis)
+    if chain_k != chain:
+        return {"chain": [p.blocks for p in chain_k.partitions]}
+    labels = noncrossing.stanley_labels(chain)
+    if tuple(v + 1 for v in labels) != bijection.initial_vector(basis):
+        return True
+    return noncrossing.chain_to_basis(chain) != basis
 
 
 SUITES: dict[str, list[tuple[str, Check]]] = {

@@ -1,5 +1,6 @@
 """The benchmark's tracer (`bench/spans.py`) wraps library functions by module
 attribute, so every name it lists must still exist where it looks for it."""
+import inspect
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parkbases import verify
+from parkbases import bijection, braid, dbasis, noncrossing, quiver, roots, verify
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,6 +27,33 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         uninstall()
     assert all(getattr(module, attr) is fn for (module, attr), fn in originals.items())
     assert {name: list(entries) for name, entries in verify.SUITES.items()} == suites
+
+
+# One check per verify source, and a library function its predicate reads.
+READS = [
+    ("cartan_symmetric", roots, "cartan"),
+    ("gap_single_point", dbasis, "gap"),
+    ("geometric_equals_algebraic", bijection, "reconstruct_geometric"),
+    ("young_flips", braid, "flip_row"),
+    ("permutation_shortcut", bijection, "reconstruct_permutation"),
+    ("exceptional_equals_validate", quiver, "is_exceptional_sequence"),
+    ("chain_identity", noncrossing, "partition_chain"),
+]
+
+
+@pytest.mark.parametrize("name, module, attr", READS, ids=[read[0] for read in READS])
+def test_verify_checks_do_their_work_inside_the_call(monkeypatch, name, module, attr):
+    # verify-exhaustive times each `fn(n)` of `verify.SUITES`; a generator or any other
+    # lazy check would move its work out of that timed call.
+    checks = dict(entry for entries in verify.SUITES.values() for entry in entries)
+    assert not any(inspect.isgeneratorfunction(fn) for fn in checks.values())
+
+    def refuse(*args):
+        raise LookupError(attr)
+
+    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(LookupError, match=f"^{attr}$"):
+        checks[name](2)
 
 
 @pytest.mark.parametrize("workload", ["verify-exhaustive", "sampled-large", "cli-mixed"])

@@ -67,16 +67,6 @@ def test_rank_mismatch():
         hom_dim(mod(1, 1, 2), mod(1, 1, 3))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_hom_matches_oracle(n):
-    verify.check_hom_oracle(n)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_conditional_ext_formula(n):
-    verify.check_ext_formula(n)
-
-
 def test_exceptional_examples():
     n = 3
     assert is_exceptional_sequence(modules_of(basis_of_pairs([(1, 1), (2, 2), (3, 3)], n)))
@@ -266,11 +256,6 @@ def test_nondecreasing_collection_examples():
     mods = modules_of(reconstruct((2, 1, 1)))
     assert not is_nondecreasing_collection(mods)
     assert has_mono(mods[0], mods[2])  # [2,2] embeds into [1,2]
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_nondecreasing_families_coincide(n):
-    verify.check_nondecreasing_families(n)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

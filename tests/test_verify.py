@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from parkbases import braid, dbasis, noncrossing, quiver, roots, verify
+from parkbases import bijection, braid, dbasis, noncrossing, quiver, roots, verify
 
 
 # The check names in `SUITES` order, as `verify N all` reports them and as the
@@ -129,6 +129,41 @@ def test_seifert_cases_exclusive_reads_hom_and_ext(monkeypatch):
     report = verify.run_suite(2, "bijection")
     entry = next(c for c in report["checks"] if c["name"] == "seifert_cases_exclusive")
     assert entry["ok"] is False and entry["counterexample"] == {"a": (1, 1), "b": (1, 1)}
+
+
+_OPPOSITE = {"left": "right", "right": "left"}
+
+# One forced failure for each source whose counterexample no other test pins: the
+# check, the library function replaced (the stand-in is built from the original),
+# and the exact counterexample at n = 3.
+PINNED = [
+    ("check_geometric", bijection, "reconstruct_geometric",
+     lambda original: lambda f: () if f == (1, 2, 1) else original(f),
+     {"f": [1, 2, 1]}),
+    ("check_permutation_shortcut", bijection, "reconstruct_permutation",
+     lambda original: lambda sigma: original(sigma)[::-1],
+     {"sigma": [1, 2, 3]}),
+    ("check_diagram_mutation", braid, "mutate_diagram",
+     lambda original: lambda d, k, direction: original(d, k, _OPPOSITE[direction] if k == 2 else direction),
+     {"f": [1, 1, 1], "k": 2, "direction": "left"}),
+    ("check_flips", braid, "flip_row",
+     lambda original: lambda young, k: young,
+     {"f": [1, 1, 1], "k": 1, "direction": "left"}),
+    ("check_exceptional_matches_validate", dbasis, "from_arcs",
+     lambda original: lambda diagram: None,  # accepts every root tuple
+     {"roots": [(1, 1), (1, 1), (1, 1)], "from_arcs": True}),
+    ("check_braid_axioms", braid, "apply_word",
+     lambda original: lambda basis, word: () if word == (-2, 2) else original(basis, word),
+     {"basis": [(1, 1), (2, 2), (3, 3)], "k": 2}),
+]
+
+
+@pytest.mark.parametrize("check, module, attr, stand_in, expected", PINNED, ids=[p[0] for p in PINNED])
+def test_each_source_names_its_counterexample(monkeypatch, check, module, attr, stand_in, expected):
+    monkeypatch.setattr(module, attr, stand_in(getattr(module, attr)))
+    with pytest.raises(verify.CheckFailure) as failure:
+        getattr(verify, check)(3)
+    assert list(failure.value.counterexample.items()) == list(expected.items())  # key order too
 
 
 def test_a_check_that_raises_is_reported_with_its_error(monkeypatch):
