@@ -8,8 +8,8 @@ smaller labels, to the first corner with a larger label, the boundary path or th
 x-axis: the stopping x is the right endpoint.  Two ways to invert it:
 
 - `reconstruct` (and `reconstruct_geometric`, which calls it) reads the stops
-  off the rows of the diagram of f in one O(n) stack pass, without building
-  the `ParkingDiagram`; `ray_stops` runs the same pass on a built diagram;
+  off the rows of the diagram of f in one O(n) stack pass; `ray_stops` runs
+  the same pass on a diagram it is given;
 - `reconstruct_permutation` is the shortcut available when the input is a
   permutation: the right endpoint is the largest j with [f(k), j] contained in
   the first k values.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .parking import ParkingDiagram, _checked
+from .parking import ParkingDiagram, _checked, _diagram
 from .roots import Basis, Root
 
 
@@ -58,12 +58,11 @@ def _stops(labels: Sequence[int], lengths: Sequence[int]) -> list[int]:
 def _checked_stops(f: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
     """f as a checked parking function, with the ray stop of each label (entry k-1 for label k).
 
-    The stops are read off the rows of the diagram of f (labels sorted by
-    (value, label)) without building it.
+    The stops are read off the rows of the diagram of f, built once by `parking._diagram`.
     """
     f = _checked(f)
-    order = sorted(range(len(f)), key=f.__getitem__)  # stable: rows by (f[k], k)
-    return f, _stops([k + 1 for k in order], [f[k] - 1 for k in order])
+    diagram = _diagram(f)
+    return f, _stops(diagram.labels, diagram.lengths)
 
 
 def reconstruct(f: Sequence[int]) -> Basis:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .bijection import _checked_stops, initial_vector, ray_stops, reconstruct
 from .dbasis import _point_bases
-from .parking import ParkingDiagram, from_diagram, nondecreasing_parking_functions, to_diagram
+from .parking import ParkingDiagram, _diagram, from_diagram, nondecreasing_parking_functions
 from .roots import Basis, Root, _check_ranks, seifert
 
 Direction = Literal["left", "right"]
@@ -198,7 +198,11 @@ def mutate_diagram(diagram: ParkingDiagram, k: int, direction: Direction) -> Par
     - otherwise both directions just swap the labels.
 
     Agreement with the algebraic path (`mutate_parking`) is checked
-    exhaustively by the test suite.
+    exhaustively by the test suite.  The new values are the initial vector of the
+    mutated basis, so parking, and `parking._diagram` lays out their rows without
+    re-checking them; `tests/test_braid.py` holds every output to the full
+    `ParkingDiagram` validator, exhaustively for n <= 5 and on random inputs at
+    n = 64 and 400.
     """
     f = from_diagram(diagram)
     _check_k(len(f), k)
@@ -226,7 +230,7 @@ def mutate_diagram(diagram: ParkingDiagram, k: int, direction: Direction) -> Par
             g[k] = v_k
     else:
         g[k - 1], g[k] = v_next, v_k
-    return to_diagram(g)
+    return _diagram(tuple(g))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,7 +315,9 @@ def flip_row(young: Sequence[int], k: int) -> Young:
     -d the boundary runs from x = mu_{d+1} to x = mu_d, with mu_{n+1} = 0.
 
     Row n is degenerate (its walk runs along the staircase hypotenuse) and
-    flips to the diagram itself.
+    flips to the diagram itself.  The re-sorted rows are returned without a
+    second `validate_young`; `tests/test_braid.py` runs it on every flip for
+    n <= 6 and on random diagrams at n = 64 and 400.
     """
     n = len(young)
     mu = validate_young(young, n)
@@ -327,8 +333,7 @@ def flip_row(young: Sequence[int], k: int) -> Young:
         d -= step
         if x == 0 or d == 0 or row[d] <= x <= row[d - 1]:
             break
-    rows = sorted(mu[: k - 1] + mu[k:] + (x,), reverse=True)
-    return validate_young(rows, n)
+    return tuple(sorted(mu[: k - 1] + mu[k:] + (x,), reverse=True))
 
 
 def young_diagrams(n: int) -> Iterator[Young]:

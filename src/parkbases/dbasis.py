@@ -77,6 +77,15 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
     dependent.  Only on a rejection do the forest test and then the pairwise Seifert
     scan run, to name it.
     """
+    return _accepted(roots, rank)[0]
+
+
+def _accepted(roots: Sequence[Root], rank: int | None) -> tuple[Basis, tuple[tuple[int, int], ...]]:
+    """`validate_basis`, also returning the arcs (lo - 1, hi) that its cycle product read.
+
+    The library's one acceptance of a root tuple: `noncrossing.partition_chain` takes the
+    arcs as the chain's merges, so it accepts and rejects exactly as `validate_basis` does.
+    """
     basis = tuple(roots)
     if rank is None:
         rank = basis[0].rank if basis else 0
@@ -87,7 +96,7 @@ def validate_basis(roots: Sequence[Root], rank: int | None = None) -> Basis:
             raise BasisError("rank", f"root {r} has rank {r.rank}, expected {rank}")
     arcs = tuple((r.lo - 1, r.hi) for r in basis)
     if _is_cycle_factorization(arcs, rank):
-        return basis
+        return basis, arcs
     if _first_cycle(arcs) is not None:
         raise BasisError("dependent", "roots are linearly dependent")
     for j in range(1, rank):

@@ -17,11 +17,11 @@ Read as transpositions, the merges of a maximal chain are the arcs of a basis, s
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
 multiply to it are a maximal chain.  So `maximal_chains` reads the chains off the
 bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`;
-`chain_to_basis`, `partition_chain` (a basis is its own chain) and `_chain_of_blocks`
-behind `nc from-chain` accept by that product and run no crossing scan.  A rejection
-takes the validated path, which names the fault: the chain replay, the partitions'
-checks, or `validate_basis` for `partition_chain`.  `verify` counts the chains from
-the definition, join by join.
+`chain_to_basis` and `_chain_of_blocks` behind `nc from-chain` accept by that product
+and run no crossing scan.  A rejection takes the validated path, which names the
+fault: the chain replay or the partitions' checks.  `partition_chain` (a basis is its
+own chain) accepts through `validate_basis`'s own acceptance.  `verify` counts the
+chains from the definition, join by join.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import bisect
 import dataclasses
 from typing import Iterator, Sequence
 
-from .dbasis import _is_cycle_factorization, _point_bases, validate_basis
+from .dbasis import _accepted, _is_cycle_factorization, _point_bases
 from .roots import Basis, Root
 
 Block = tuple[int, ...]
@@ -212,15 +212,11 @@ def stanley_labels(chain: NCChain) -> tuple[int, ...]:
 def partition_chain(basis: Sequence[Root]) -> NCChain:
     """The chain of connected-component partitions of the first k arcs (lo - 1, hi) of a basis.
 
-    A basis is its own chain: merge k is arc k, accepted by the arcs' cycle product.  Any
-    other tuple raises the BasisError (a ValueError) that `validate_basis` raises on it.
+    A basis is its own chain: merge k is arc k.  The arcs come from `dbasis._accepted`, the
+    one acceptance behind `validate_basis`, so any other tuple raises the BasisError (a
+    ValueError) that `validate_basis` raises on it.
     """
-    n = basis[0].rank if basis else 0
-    arcs = tuple((r.lo - 1, r.hi) for r in basis)
-    if len(arcs) == n and all(r.rank == n for r in basis) and _is_cycle_factorization(arcs, n):
-        return NCChain(arcs)
-    validate_basis(basis)  # raises the BasisError that names the fault
-    raise RuntimeError(f"the product rejects {arcs}, which validate_basis accepts")
+    return NCChain(_accepted(basis, None)[1])
 
 
 def chain_to_basis(chain: NCChain) -> Basis:

@@ -9,7 +9,7 @@ counterexample.
 import time
 
 from parkbases import verify
-from parkbases.bijection import reconstruct, reconstruct_geometric
+from parkbases.bijection import reconstruct
 from parkbases.braid import orbit_graph
 
 from helpers import ALPHA1_RANK3, ALPHA2_RANK3, all_bases, basis_of_pairs
@@ -94,7 +94,6 @@ def test_criterion_05_worked_examples():
         12,
     )
     assert reconstruct(n12) == expected
-    assert reconstruct_geometric(n12) == expected
     report(5, "the three worked reconstructions reproduce exactly")
 
 

@@ -38,8 +38,8 @@ def test_reconstruct_worked_examples():
 
 
 def test_reconstruct_geometric_worked_examples():
-    for f in [(2, 2, 1), (2, 1, 1), N12_F]:
-        assert reconstruct_geometric(f) == reconstruct(f)
+    # `reconstruct_geometric` runs `reconstruct`'s stack pass; this one call shows the name
+    # still answers, and every other golden is held to `reconstruct` alone.
     expected = basis_of_pairs([(1, 7), (1, 1), (2, 5), (2, 3), (2, 2), (4, 4), (6, 6)], 7)
     assert reconstruct_geometric((1, 1, 2, 2, 2, 4, 6)) == expected
     assert reconstruct((1, 1, 2, 2, 2, 4, 6)) == expected
@@ -47,15 +47,14 @@ def test_reconstruct_geometric_worked_examples():
 
 def test_identity_permutation_gives_simple_roots():
     n = 5
-    assert reconstruct_geometric(tuple(range(1, n + 1))) == simple_roots(n)
     assert reconstruct(tuple(range(1, n + 1))) == simple_roots(n)
 
 
 @pytest.mark.parametrize("n", [64, 400, 1600])
 def test_geometric_equals_algebraic_on_long_rays(n):
-    # Long rays cross many rows; extremes plus uniform draws.  Both inverses read
-    # the same stack pass, so each is held to the algebraic construction of
-    # `verify` and to the literal ray walk.
+    # Long rays cross many rows; extremes plus uniform draws.  `reconstruct` and
+    # `ray_stops` read the same stack pass (as does `reconstruct_geometric`), held to
+    # the algebraic construction of `verify` and to the literal ray walk.
     rng = random.Random(n)
     extremes = [(1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
     for f in extremes + [random_parking(rng, n) for _ in range(10)]:
@@ -64,7 +63,7 @@ def test_geometric_equals_algebraic_on_long_rays(n):
         assert ray_stops(diagram) == walk
         algebraic = verify._algebraic_basis(f)
         assert tuple(Root(v, stop, n) for v, stop in zip(f, walk)) == algebraic
-        assert reconstruct(f) == reconstruct_geometric(f) == algebraic
+        assert reconstruct(f) == algebraic
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -134,5 +133,4 @@ def test_round_trip_property(n, data):
     f = data.draw(st.sampled_from(all_pfs(n)))
     basis = reconstruct(f)
     assert initial_vector(basis) == f
-    assert reconstruct_geometric(f) == basis
     assert all(isinstance(r, Root) for r in basis)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkbases import bijection, braid
+from parkbases import bijection, braid, parking
 from parkbases.bijection import initial_vector, reconstruct
 from parkbases.braid import (
     apply_word,
@@ -20,9 +20,10 @@ from parkbases.braid import (
     parse_word,
     validate_young,
     young_diagrams,
+    young_of_diagram,
 )
 from parkbases.dbasis import validate_basis
-from parkbases.parking import catalan, from_diagram, parking_functions, to_diagram
+from parkbases.parking import ParkingDiagram, catalan, from_diagram, parking_functions, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
 from helpers import all_bases, all_pfs, basis_of_pairs, long_families, random_parking
@@ -331,6 +332,30 @@ def test_mutate_diagram_raises_as_mutate_parking():
         mutate_diagram(to_diagram(f), 1, "up")
 
 
+def _mutation_inputs(n):
+    """(f, k) pairs: every parking function and generator for n <= 5, else ten seeded f with eight k each."""
+    if n <= 5:
+        return [(f, k) for f in all_pfs(n) for k in range(1, n)]
+    rng = random.Random(n)
+    return [(random_parking(rng, n), rng.randrange(1, n)) for _ in range(10) for _ in range(8)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 400])
+def test_mutate_diagram_output_is_a_valid_diagram(monkeypatch, n):
+    # mutate_diagram lays out its rows without re-checking them; the full validator does it here.
+    inputs = [(to_diagram(f), k) for f, k in _mutation_inputs(n)]
+
+    def refuse(values):
+        raise AssertionError("mutate_diagram re-checks the parking condition")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(parking, "is_parking", refuse)
+        outputs = [mutate_diagram(diagram, k, direction) for diagram, k in inputs for direction in ("left", "right")]
+    for out in outputs:
+        assert ParkingDiagram(out.labels, out.lengths) == out
+        assert to_diagram(from_diagram(out)) == out
+
+
 def test_diagram_mutation_rank8_triple():
     # three diagrams linked by the sixth generator
     f_x = (2, 8, 6, 4, 5, 1, 7, 1)
@@ -434,12 +459,20 @@ def test_flip_row_validation():
         flip_row((0, 0, 0), 4)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 64, 400])
 def test_flips_stay_in_staircase_and_reverse(n):
-    youngs = list(young_diagrams(n))
-    assert len(youngs) == catalan(n)
-    for young in youngs:
-        for k in range(1, n + 1):
+    # Every diagram and row up to n = 6; beyond, three seeded diagrams and twelve rows each.
+    # flip_row returns its rows without validate_young, so the check runs here.
+    if n <= 6:
+        youngs = list(young_diagrams(n))
+        assert len(youngs) == catalan(n)
+        rows = [range(1, n + 1)] * len(youngs)
+    else:
+        rng = random.Random(n)
+        youngs = [young_of_diagram(to_diagram(sorted(random_parking(rng, n)))) for _ in range(3)]
+        rows = [rng.sample(range(1, n + 1), 12) for _ in youngs]
+    for young, ks in zip(youngs, rows):
+        for k in ks:
             flipped = flip_row(young, k)
             validate_young(flipped, n)
             if flipped != young:

@@ -1,13 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from parkbases import bijection, braid, dbasis, linalg, noncrossing, parking, quiver, roots
+import parkbases
+
+MODULES = [importlib.import_module(f"parkbases.{info.name}") for info in pkgutil.iter_modules(parkbases.__path__)]
 
 
-@pytest.mark.parametrize(
-    "module", [roots, linalg, parking, dbasis, bijection, braid, quiver, noncrossing]
-)
+@pytest.mark.parametrize("module", MODULES)
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0

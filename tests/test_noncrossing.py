@@ -152,14 +152,28 @@ def test_chain_product_rejection_is_never_overruled(monkeypatch):
 
 def test_a_basis_is_its_own_chain(monkeypatch):
     def refuse(*args):
-        raise AssertionError("partition_chain validates or partitions a basis")
+        raise AssertionError("partition_chain calls validate_basis or partitions a basis")
 
-    monkeypatch.setattr(noncrossing, "validate_basis", refuse)
+    monkeypatch.setattr(dbasis, "validate_basis", refuse)
     monkeypatch.setattr(noncrossing, "NCPartition", refuse)
     n = 3200  # long single blocks, where joining arc by arc is quadratic
     long_bases = [reconstruct(f) for f in ((1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
     for basis in itertools.chain(*map(all_bases, range(1, 6)), long_bases):
         assert partition_chain(basis).merges == tuple((r.lo - 1, r.hi) for r in basis)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_partition_chain_accepts_exactly_what_validate_basis_accepts(r):
+    # Every tuple of 0..r+1 roots of rank r: the chain of the arcs when validate_basis
+    # accepts, and otherwise the same BasisError (type, code, detail, text).
+    roots = list(positive_roots(r))
+    for size in range(r + 2):
+        for tup in itertools.product(roots, repeat=size):
+            error = _basis_error(dbasis.validate_basis, tup)
+            if error is None:
+                assert partition_chain(tup) == NCChain(tuple((x.lo - 1, x.hi) for x in tup)), tup
+            else:
+                assert _basis_error(partition_chain, tup) == error, tup
 
 
 def _validated(raw):
