@@ -4,8 +4,8 @@ Command-line front end.
 Verbs: convert, enumerate, braid, orbit, render, quiver, nc, verify.
 JSON travels on stdin/stdout by default (--in / --out redirect to files) with
 the fixed field names n, f, basis, word, chain, hom, ext.  Output is
-deterministic for fixed input and flags.  Every error exits nonzero after
-printing a single line "CODE: human text" on stderr.
+deterministic for fixed input and flags.  Every error exits 1 after printing a
+single line "CODE: human text" on stderr; arguments argparse rejects are E_PARSE.
 """
 from __future__ import annotations
 
@@ -323,9 +323,16 @@ def cmd_verify(args) -> None:
         sys.exit(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subparsers' included, raise CliError("E_PARSE", ...)."""
+
+    def error(self, message):
+        raise CliError("E_PARSE", message)
+
+
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="parkbases")
+    parser = _Parser(prog="parkbases")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def io_flags(p):
@@ -393,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
     except CliError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

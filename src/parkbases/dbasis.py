@@ -12,11 +12,16 @@ families of pairwise non-crossing arcs satisfying:
   (1) arcs sharing a left end are nested with the inner arc labelled later;
   (2) arcs sharing a right end are nested with the inner arc labelled earlier;
   (3) when the right end of one arc is the left end of another, the left arc
-      is labelled earlier;
-  (4) the endpoint graph is acyclic (this follows from (1)-(3), but is still
-      checked).
+      is labelled earlier.
 
-Linear independence is the forest test of (4): [lo, hi] is x_hi - x_{lo-1} in
+The endpoint graph is then acyclic, so (1)-(3) need no fourth rule.  Pairwise
+non-crossing arcs that close a cycle visit its points v_1 < ... < v_m in order:
+the cycle is the arcs (v_i, v_{i+1}) and (v_1, v_m).  Rule (3) labels
+(v_1, v_2) before (v_2, v_3) and so on up to (v_{m-1}, v_m), rule (2) labels that
+one before (v_1, v_m), and rule (1) labels (v_1, v_m) before (v_1, v_2): no
+labelling meets all three.  A repeated arc already breaks (1).
+
+Linear independence is a forest test: [lo, hi] is x_hi - x_{lo-1} in
 partial-sum coordinates, so roots are independent exactly when their arcs form
 a forest.  Read as transpositions (lo - 1, hi), roots form a basis exactly when
 they multiply to the cycle (0 1 ... n): Denes (1959) counts these minimal
@@ -57,8 +62,9 @@ class BasisError(ValueError):
     `validate_basis` checks, in order: "length", "rank", "dependent",
     "seifert" (detail: the 1-based ordered pair (j, i) with j > i at fault).
     `from_arcs` checks "length", then the arc rules "crossing" / "arc1" /
-    "arc2" / "arc3" / "arc4" (detail: the arc labels).  The cycle product accepts;
-    these codes only name a rejection.  "dependent" and "arc4" are the same forest test.
+    "arc2" / "arc3" (detail: the arc labels).  The cycle product accepts; these
+    codes only name a rejection.  No code names a cycle of arcs: rules (1)-(3)
+    exclude one (see the module docstring).
     """
 
     def __init__(self, code: str, message: str, detail: tuple = ()):
@@ -158,7 +164,11 @@ def _is_cycle_factorization(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
 
 
 def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
-    """Raise BasisError on the first violated arc condition (labels are 1-based)."""
+    """Raise BasisError on the first violated arc condition (labels are 1-based).
+
+    A cycle of arcs needs no test of its own: rules (1)-(3) exclude it (module
+    docstring), and `tests/test_dbasis.py` checks that exhaustively for n <= 6.
+    """
     n = len(arcs)
     for i, j in itertools.combinations(range(n), 2):
         l1, r1 = arcs[i]
@@ -179,9 +189,6 @@ def _check_arcs(arcs: tuple[tuple[int, int], ...]) -> None:
                 raise BasisError(
                     "arc3", f"arc {i + 1} ends where arc {j + 1} begins", (i + 1, j + 1)
                 )
-    idx = _first_cycle(arcs)
-    if idx is not None:
-        raise BasisError("arc4", f"arc {idx + 1} closes a cycle", (idx + 1,))
 
 
 _set_arcs, _set_rank = ArcDiagram.arcs.__set__, ArcDiagram.rank.__set__
@@ -209,7 +216,7 @@ def to_arcs(basis: Sequence[Root]) -> ArcDiagram:
 
 
 def from_arcs(diagram: ArcDiagram) -> Basis:
-    """The basis of an arc diagram: the cycle product accepts, conditions (1)-(4) name a rejection."""
+    """The basis of an arc diagram: the cycle product accepts, conditions (1)-(3) name a rejection."""
     if len(diagram.arcs) != diagram.rank:
         raise BasisError("length", f"expected {diagram.rank} arcs, got {len(diagram.arcs)}")
     if not _is_cycle_factorization(diagram.arcs, diagram.rank):

@@ -8,8 +8,10 @@ blocks sorted by minimum, each block a sorted tuple.
 A maximal chain refines from the all-singletons partition to the one-block
 partition in n steps, each joining two blocks B, B' with min B < min B'.  An
 `NCChain` is its n merges (label, max B'), the label being the largest point of
-B below B'; its `partitions` are replayed on request, and `chain_of_partitions`
-reads the merges off given partitions.  Merge k is arc k of a basis
+B below B'; its `partitions` are replayed on request.  Given partitions are read by
+one reader, `_merges`, which checks the steps' shape (n + 1 partitions, singletons
+to one block, two blocks joined per step) and not their crossings; it serves both
+`chain_of_partitions` and `nc from-chain` (`_chain_of_blocks`).  Merge k is arc k of a basis
 (`partition_chain` / `chain_to_basis`), and the labels (`stanley_labels`) are a
 parking function shifted down by one.
 
@@ -127,55 +129,57 @@ class NCChain:
 
 def chain_of_partitions(parts: Sequence[NCPartition]) -> NCChain:
     """The chain through the given partitions; ValueError unless it is a maximal chain."""
-    if not parts:
+    return NCChain(_merges([p.blocks for p in parts]))
+
+
+def _merges(block_lists: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, int], ...]:
+    """The merges (label, max B') of partitions given as lists of blocks, each block read sorted.
+
+    ValueError unless, with n + 1 points in the first partition, there are n + 1 partitions
+    from exactly n + 1 singletons to one block, each joining two blocks of the one before.
+    Crossings and the points' types are not checked.
+    """
+    if not block_lists:
         raise ValueError("empty chain")
-    n = parts[0].n
-    if len(parts) != n + 1:
+    first = block_lists[0]
+    n = sum(map(len, first)) - 1
+    if len(block_lists) != n + 1:
         raise ValueError(f"a maximal chain on {{0..{n}}} has {n + 1} partitions")
-    if parts[0] != singletons(n):
+    lower = {tuple(sorted(b)) for b in first}
+    if len(first) != n + 1 or lower != {(x,) for x in range(n + 1)}:
         raise ValueError("chains must start at the all-singletons partition")
-    if len(parts[-1].blocks) != 1:
+    if len(block_lists[-1]) != 1:
         raise ValueError("chains must end at the one-block partition")
-    steps = (merge_of(lower, upper) for lower, upper in zip(parts, parts[1:]))
-    return NCChain(tuple((_label(b, b_prime), b_prime[-1]) for b, b_prime in steps))
+    merges = []
+    for blocks in block_lists[1:]:
+        upper = {tuple(sorted(b)) for b in blocks}
+        if len(blocks) != len(lower) - 1:  # so `upper` holds no block twice
+            raise ValueError("not a single-merge cover")
+        b, b_prime = _merged_pair(lower, upper)
+        merges.append((_label(b, b_prime), b_prime[-1]))
+        lower = upper
+    return tuple(merges)
 
 
 def _chain_of_blocks(raw: Sequence[Sequence[Sequence[int]]]) -> NCChain:
     """`chain_of_partitions([partition(p) for p in raw])`, accepted by the merges' cycle product.
 
-    Each partition is read in canonical form.  From the singletons of 0..n, every step must
-    drop two blocks B, B' and add their sorted union; each such step keeps a set partition,
-    and the merges (label, max B') form a maximal non-crossing chain exactly when they
-    multiply to (0 1 ... n), as in `chain_to_basis`.  So no partition needs its crossing
-    scan.  Anything else, a point that is not an int included, takes the validated path,
-    which raises the ValueError that names the fault.
+    Each partition is read in canonical form by `_merges`.  Its steps keep a set partition,
+    and the merges form a maximal non-crossing chain exactly when they multiply to
+    (0 1 ... n), as in `chain_to_basis`.  So no partition needs its crossing scan.
+    Anything else, a point that is not an int included, takes the validated path, which
+    raises the ValueError that names the fault.
     """
-    merges = _block_merges(raw)
-    if merges is not None and _is_cycle_factorization(merges, len(merges)):
-        return NCChain(merges)
+    if all(type(x) is int for blocks in raw for b in blocks for x in b):
+        try:
+            merges = _merges(raw)
+        except ValueError:
+            pass
+        else:
+            if _is_cycle_factorization(merges, len(merges)):
+                return NCChain(merges)
     chain = chain_of_partitions([partition(blocks) for blocks in raw])
     raise RuntimeError(f"the product rejects {chain.merges}, which the validated path accepts")
-
-
-def _block_merges(raw: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, int], ...] | None:
-    """The merges of partitions that go from the singletons by single merges, else None."""
-    if not raw or not all(type(x) is int for blocks in raw for b in blocks for x in b):
-        return None
-    lower = {tuple(sorted(b)) for b in raw[0]}
-    if len(raw[0]) != len(raw) or lower != {(x,) for x in range(len(raw))}:
-        return None
-    merges = []
-    for blocks in raw[1:]:
-        upper = {tuple(sorted(b)) for b in blocks}
-        if len(blocks) != len(lower) - 1:  # so `upper` holds no block twice
-            return None
-        try:
-            b, b_prime = _merged_pair(lower, upper)
-        except ValueError:
-            return None
-        merges.append((_label(b, b_prime), b_prime[-1]))
-        lower = upper
-    return tuple(merges)
 
 
 def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:

@@ -247,7 +247,7 @@ def _accepts(check: Callable, arg) -> bool:
 
 def _selected_alike(tup, n):
     # Exceptional sequences, triangular Seifert bases (`validate_basis`), the pairwise arc
-    # rules (1)-(4) read directly and `from_arcs` (the cycle product) select the same tuples.
+    # rules (1)-(3) read directly and `from_arcs` (the cycle product) select the same tuples.
     valid = dbasis.is_basis(tup, len(tup))
     if quiver.is_exceptional_sequence(quiver.modules_of(tup)) != valid:
         return True

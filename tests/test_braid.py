@@ -1,3 +1,4 @@
+import collections
 import random
 import re
 
@@ -351,9 +352,39 @@ def test_mutate_diagram_output_is_a_valid_diagram(monkeypatch, n):
     with monkeypatch.context() as patched:
         patched.setattr(parking, "is_parking", refuse)
         outputs = [mutate_diagram(diagram, k, direction) for diagram, k in inputs for direction in ("left", "right")]
-    for out in outputs:
+    moves = [(f, k, direction) for f, k in _mutation_inputs(n) for direction in ("left", "right")]
+    for out, (f, k, direction) in zip(outputs, moves, strict=True):
         assert ParkingDiagram(out.labels, out.lengths) == out
         assert to_diagram(from_diagram(out)) == out
+        assert from_diagram(out) == mutate_parking(f, k, direction)  # the surgery on long rays too
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mutate_parking_moves_a_pair_in_three_forms(n):
+    # On (a, b) = (f_k, f_{k+1}), with stops t_k, t_{k+1}: a swap, a copy, or a new value
+    # c = t_{k+1} + 1 beside a exactly when a == b (the rule in `mutate_parking`'s docstring).
+    tally = collections.Counter()
+    for f in parking_functions(n):
+        stops = bijection.ray_stops(to_diagram(f))
+        for k in range(1, n):
+            a, b = f[k - 1], f[k]
+            for direction in ("left", "right"):
+                g = mutate_parking(f, k, direction)
+                assert g[: k - 1] + g[k + 1 :] == f[: k - 1] + f[k + 1 :]
+                left = direction == "left"
+                if a == b:
+                    c = stops[k] + 1
+                    form, expected = "new", ((a, c) if left else (c, a))
+                elif left and stops[k - 1] == stops[k] or not left and stops[k - 1] == b - 1:
+                    form, expected = "copy", ((b, b) if left else (a, a))
+                else:
+                    form, expected = "swap", (b, a)
+                assert g[k - 1 : k + 1] == expected, (f, k, direction)
+                assert len({a, b, *expected}) == 2  # a != b, or c != a
+                tally[form, k, direction] += 1
+    unit = (n + 1) ** (n - 2)
+    counts = {"swap": (n - 1) * unit, "copy": unit, "new": unit}
+    assert tally == {(form, k, d): counts[form] for form in counts for k in range(1, n) for d in ("left", "right")}
 
 
 def test_diagram_mutation_rank8_triple():

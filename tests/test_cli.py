@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parkbases import dbasis
+from parkbases import dbasis, render, verify
 from parkbases.bijection import reconstruct
-from parkbases.cli import main
+from parkbases.cli import _ENUMERATE, main
 from parkbases.dbasis import distinguished_bases
 from parkbases.noncrossing import maximal_chains, partition_chain
 from parkbases.parking import nondecreasing_parking_functions, parking_functions
@@ -307,7 +307,8 @@ def test_output_deterministic(monkeypatch, capsys):
     calls = [(["convert", "pf-to-basis"], '{"n":3,"f":[2,2,1]}'), (["enumerate", "0", "pf"], ""),
              (["enumerate", "two", "pf"], "")]  # the last is rejected by argparse itself
     first = [run_cli(argv, stdin, monkeypatch, capsys) for argv, stdin in calls]
-    assert first[1] == (1, "", "E_PARSE: n must be >= 1\n") and first[2][0] == 2
+    assert first[1] == (1, "", "E_PARSE: n must be >= 1\n")
+    assert first[2] == (1, "", "E_PARSE: argument n: invalid int value: 'two'\n")
     assert [run_cli(argv, stdin, monkeypatch, capsys) for argv, stdin in calls] == first
 
 
@@ -608,6 +609,61 @@ def test_stdin_verbs_answer_or_print_one_error_line(argv, payload):
     else:
         assert code == 1 and out == "", (code, out)
         assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), err
+
+
+_NUMBERS = ("-1", "0", "1", "2", "3", "two", "1.5")  # --limit takes only these, so nothing runs large
+_LIMITS = [["--limit", value] for value in _NUMBERS]
+_N = [["1"], ["2"], ["3"]]  # the other numbers come in as noise
+
+
+def _units(*tokens):
+    return [[token] for token in tokens]
+
+
+_SLOTS = {  # per verb, the argument units that may fill each slot in turn ([] leaves it out)
+    "convert": [_units("pf-to-basis", "basis-to-pf")],
+    "enumerate": [_N, _units(*_ENUMERATE), [["--count"], []], [*_LIMITS, []]],
+    "braid": [_units("apply"), _N],
+    "orbit": [
+        _N, [["--format", "dot"], ["--format", "json"], []], [["--include-beta"], []], [*_LIMITS, []],
+    ],
+    "render": [[["--format", f] for f in render.FORMATS], [["--target", t] for t in render.TARGETS]],
+    "quiver": [_units("table")],
+    "nc": [_units("to-chain", "from-chain")],
+    "verify": [_N, _units("all", *verify.SUITES), [["--inject-fault"], []], [*_LIMITS, []]],
+}
+# Any token of any slot, alone (so a flag may lack its value), a verb, any number, or a bad value.
+_NOISE = _units(*sorted({*(t for slots in _SLOTS.values() for slot in slots for unit in slot for t in unit),
+                         *_SLOTS, *_NUMBERS, "foo"}))
+_SMALL_PAYLOAD = json.dumps({
+    "n": 3, "f": [2, 2, 1], "basis": [[2, 3], [2, 2], [1, 3]],
+    "chain": [[list(b) for b in p.blocks] for p in partition_chain(reconstruct((2, 2, 1))).partitions],
+})
+
+
+@st.composite
+def _argvs(draw):
+    """A verb (or none), its slots filled mostly as the verb takes them, sometimes with noise or nothing."""
+    verb = draw(st.sampled_from([*_SLOTS, None]))
+    argv = [verb] if verb else []
+    for slot in _SLOTS.get(verb, []):
+        pick = draw(st.integers(0, 5))
+        argv += [] if pick == 0 else draw(st.sampled_from(_NOISE if pick == 1 else slot))
+    if draw(st.integers(0, 3)) == 0:
+        argv += draw(st.sampled_from(_NOISE))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs(), stdin_text=st.sampled_from(["{}", _SMALL_PAYLOAD]))
+def test_any_argv_answers_or_prints_one_error_line(argv, stdin_text):
+    # Argument errors are one E_PARSE line and exit 1 like every other error, never argparse's
+    # usage text and exit 2.  `verify --inject-fault` exits 1 with its report and no error line.
+    code, out, err = _run_quiet(argv, stdin_text)
+    assert code in (0, 1), (argv, code, err)
+    if err:
+        assert code == 1 and out == "", (argv, out)
+        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), (argv, err)
 
 
 def _cli_process(argv, stdout):
