@@ -34,15 +34,23 @@ Direction = Literal["left", "right"]
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Parse a braid word from whitespace-separated signed integers.
+    """Parse a braid word from whitespace-separated letters, each an optional sign and ASCII digits.
 
-    >>> parse_word("1 -2 1")
+    Any other letter raises ValueError naming its 1-based position and its text, and so
+    does a zero letter once every letter has been read.
+
+    >>> parse_word("1 -2 +1")
     (1, -2, 1)
     """
-    letters = tuple(int(tok) for tok in text.split())
-    if any(letter == 0 for letter in letters):
+    letters = []
+    for position, token in enumerate(text.split(), 1):
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"letter {position} ({token!r}) is not an integer")
+        letters.append(int(token))
+    if 0 in letters:
         raise ValueError("braid letters must be nonzero")
-    return letters
+    return tuple(letters)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -106,7 +114,15 @@ def generator_order(basis: Sequence[Root], k: int) -> int:
     """Orbit length (2 or 3) of alpha_k on the given basis.
 
     The orbit has length 2 exactly when the adjacent pair is Seifert-orthogonal
-    both ways, and length 3 otherwise.
+    both ways, and length 3 otherwise.  For every k, the length is 3 on exactly
+    3(n+1)^(n-2) bases of rank n >= 2 and 2 on the other (n-2)(n+1)^(n-2), so alpha_k
+    has (n+1)^(n-2) orbits of length 3 and (n-2)(n+1)^(n-2)/2 of length 2.  Read the
+    roots as transpositions (lo - 1, hi), whose product is (0 1 ... n): the length is 3
+    exactly when roots k and k+1 share a point, so that their product is a 3-cycle.
+    Goulden and Jackson (Europ. J. Combin. 13, 1992) count the minimal factorizations
+    of an N-cycle into m cycles of given lengths as N^(m-1); N = n+1 and m = n-1 give
+    (n+1)^(n-2), and a 3-cycle splits into an ordered pair of transpositions in 3 ways.
+    `verify.check_braid_axioms` tallies the counts exhaustively.
     """
     basis = tuple(basis)
     _check_k(len(basis), k)

@@ -163,12 +163,6 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": list(f), "verified": verified})
 
 
-def _value_texts(lists, n: int):
-    """Each list of ints in 0..n as an iterator over its values' texts, each text made once per call."""
-    text = [str(v) for v in range(n + 1)].__getitem__
-    return (map(text, f) for f in lists)
-
-
 def _joined(texts_of):
     """The lines of an enumeration whose items' element texts are texts_of(n), one join per item."""
     def lines(n: int, head: str, tail: str):
@@ -199,7 +193,8 @@ _ENUMERATE = {
         _joined(lambda n: _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]"))),
     ),
     "nondecreasing": (
-        12, lambda n: catalan(n), "f", _joined(lambda n: _value_texts(nondecreasing_parking_functions(n), n)),
+        12, lambda n: catalan(n), "f",
+        _joined(lambda n: (map(str, f) for f in nondecreasing_parking_functions(n))),
     ),
     "chains": (
         8, lambda n: basis_count(n), "chain",

@@ -164,20 +164,20 @@ def _merges(block_lists: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, 
 def _chain_of_blocks(raw: Sequence[Sequence[Sequence[int]]]) -> NCChain:
     """`chain_of_partitions([partition(p) for p in raw])`, accepted by the merges' cycle product.
 
-    Each partition is read in canonical form by `_merges`.  Its steps keep a set partition,
-    and the merges form a maximal non-crossing chain exactly when they multiply to
-    (0 1 ... n), as in `chain_to_basis`.  So no partition needs its crossing scan.
-    Anything else, a point that is not an int included, takes the validated path, which
-    raises the ValueError that names the fault.
+    Every point must be a plain int; `cli._payload_chain`, the only caller, rejects any
+    other point before the call.  Each partition is read in canonical form by `_merges`.
+    Its steps keep a set partition, and the merges form a maximal non-crossing chain
+    exactly when they multiply to (0 1 ... n), as in `chain_to_basis`.  So no partition
+    needs its crossing scan.  Anything else takes the validated path, which raises the
+    ValueError that names the fault.
     """
-    if all(type(x) is int for blocks in raw for b in blocks for x in b):
-        try:
-            merges = _merges(raw)
-        except ValueError:
-            pass
-        else:
-            if _is_cycle_factorization(merges, len(merges)):
-                return NCChain(merges)
+    try:
+        merges = _merges(raw)
+    except ValueError:
+        pass
+    else:
+        if _is_cycle_factorization(merges, len(merges)):
+            return NCChain(merges)
     chain = chain_of_partitions([partition(blocks) for blocks in raw])
     raise RuntimeError(f"the product rejects {chain.merges}, which the validated path accepts")
 

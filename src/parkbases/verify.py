@@ -22,6 +22,7 @@ through their modules at call time.
 """
 from __future__ import annotations
 
+import collections
 import contextvars
 import functools
 import itertools
@@ -172,7 +173,7 @@ def check_validate_accepts(basis, n):
 
 
 @_BASES
-def check_braid_axioms(basis, n):
+def _braid_axioms_hold(basis, n):
     lefts = {}
     for k in range(1, n):
         left = lefts[k] = braid.mutate(basis, k, "left")
@@ -192,6 +193,19 @@ def check_braid_axioms(basis, n):
     for k, m in itertools.combinations(range(1, n), 2):
         if m - k > 1 and braid.mutate(lefts[k], m, "left") != braid.mutate(lefts[m], k, "left"):
             return {"k": k, "m": m}
+
+
+def check_braid_axioms(n: int) -> None:
+    # The axioms on every basis, then the orbit lengths tallied: for every k, alpha_k has
+    # order 3 on exactly 3(n+1)^(n-2) bases and 2 on the rest (`braid.generator_order`).
+    _braid_axioms_hold(n)
+    order_3 = collections.Counter(
+        k for basis in dbasis.distinguished_bases(n) for k in range(1, n)
+        if braid.generator_order(basis, k) == 3
+    )
+    for k in range(1, n):
+        if order_3[k] != (expected := 3 * (n + 1) ** (n - 2)):
+            raise CheckFailure({"k": k, "order_3": order_3[k], "expected": expected})
 
 
 @_PARKING

@@ -23,7 +23,6 @@ from parkbases.braid import (
     young_diagrams,
     young_of_diagram,
 )
-from parkbases.dbasis import validate_basis
 from parkbases.parking import ParkingDiagram, catalan, from_diagram, parking_functions, to_diagram
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
@@ -120,39 +119,6 @@ def test_mutate_parking_raises_as_the_composite_reading(f):
                 assert got[0] is ValueError, (f, k, direction)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_beta_inverts_alpha_on_pf4(k):
-    for f in all_pfs(4):
-        assert mutate_parking(mutate_parking(f, k, "left"), k, "right") == f
-
-
-@pytest.mark.parametrize("n", range(2, 5))
-def test_beta_is_alpha_inverse_via_orbit(n):
-    for basis in all_bases(n):
-        for k in range(1, n):
-            order = generator_order(basis, k)
-            via_formula = mutate(basis, k, "right")
-            via_orbit = basis
-            for _ in range(order - 1):
-                via_orbit = mutate(via_orbit, k, "left")
-            assert via_formula == via_orbit
-
-
-@pytest.mark.parametrize("n", range(2, 5))
-def test_mutations_preserve_validity(n):
-    for basis in all_bases(n):
-        for k in range(1, n):
-            validate_basis(mutate(basis, k, "left"), n)
-            validate_basis(mutate(basis, k, "right"), n)
-
-
-def test_braid_relation_on_pf4():
-    for f in all_pfs(4):
-        assert apply_word_parking(f, (1, 2, 1)) == apply_word_parking(f, (2, 1, 2))
-        assert apply_word_parking(f, (2, 3, 2)) == apply_word_parking(f, (3, 2, 3))
-        assert apply_word_parking(f, (1, 3)) == apply_word_parking(f, (3, 1))
-
-
 def test_apply_word_inverse():
     basis = reconstruct((2, 2, 1, 4))
     word = (1, -2, 3, 1)
@@ -187,9 +153,18 @@ def test_apply_word_names_a_rank_mismatch_at_the_first_letter_that_touches_it():
 
 
 def test_parse_word():
-    assert parse_word("1 -2 1") == (1, -2, 1)
-    with pytest.raises(ValueError):
-        parse_word("1 0 2")
+    assert parse_word(" 1\t-2\n+1 ") == (1, -2, 1)
+    assert parse_word("") == ()
+    with pytest.raises(ValueError, match=r"^braid letters must be nonzero$"):
+        parse_word("1 0 -0")
+    # An optional sign and ASCII digits, nothing else: no Unicode digits, no underscores.
+    for text, position, token in [
+        ("1 two", 2, "two"), ("٣ +2 1_0", 1, "٣"), ("+2 1_0", 2, "1_0"), ("1.5", 1, "1.5"),
+        ("+-1", 1, "+-1"), ("0 -", 2, "-"), ("2 ²", 2, "²"),
+    ]:
+        message = f"letter {position} ({token!r}) is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_word(text)
 
 
 def test_arc_mutation_target_cases():
@@ -407,6 +382,8 @@ def test_orbit_graph_rank2():
     assert graph.alpha[((1, 1), 1)] == (1, 2)
     assert graph.alpha[((1, 2), 1)] == (2, 1)
     assert graph.alpha[((2, 1), 1)] == (1, 1)
+    with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+        orbit_graph(1)
 
 
 def test_orbit_graph_rank3_matches_reference_picture():
@@ -484,10 +461,14 @@ def test_flip_row_examples():
 
 
 def test_flip_row_validation():
-    with pytest.raises(ValueError):
-        flip_row((2, 2, 0), 1)  # row 2 exceeds the staircase
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row 2 of length 2 leaves the staircase$"):
+        flip_row((2, 2, 0), 1)
+    with pytest.raises(ValueError, match=r"^row index 4 out of range 1\.\.3$"):
         flip_row((0, 0, 0), 4)
+    with pytest.raises(ValueError, match=r"^expected 3 rows, got 2$"):
+        validate_young((1, 0), 3)
+    with pytest.raises(ValueError, match=r"^row lengths must decrease weakly downwards$"):
+        validate_young((0, 1, 0), 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 64, 400])

@@ -192,14 +192,15 @@ def test_braid_word_identity(monkeypatch, capsys):
 
 
 def test_braid_bad_word(monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["braid", "apply", "1 0"], '{"n":3,"f":[1,2,1]}', monkeypatch, capsys
-    )
-    assert code == 1 and err.startswith("E_BAD_WORD:")
-    code, _, err = run_cli(
-        ["braid", "apply", "5"], '{"n":3,"f":[1,2,1]}', monkeypatch, capsys
-    )
-    assert code == 1 and err.startswith("E_BAD_WORD:")
+    for word, message in [
+        ("1 0", "braid letters must be nonzero"),
+        ("5", "letter 5 out of range for rank 3"),
+        ("1 two", "letter 2 ('two') is not an integer"),
+        ("1.5", "letter 1 ('1.5') is not an integer"),
+        ("1 1_0", "letter 2 ('1_0') is not an integer"),
+    ]:
+        code, out, err = run_cli(["braid", "apply", word], '{"n":3,"f":[1,2,1]}', monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_BAD_WORD: {message}\n")
 
 
 def test_braid_words_agree_on_rank4(monkeypatch, capsys):
@@ -228,6 +229,13 @@ def test_render_staircase(monkeypatch, capsys):
     )
     assert code == 0
     assert out == "####|2\n###|5\n##|3\n|4\n|1\n"
+
+
+def test_render_table_ascii(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["render", "--format", "ascii", "--target", "table"], '{"n":2,"basis":[[1,1],[2,2]]}', monkeypatch, capsys
+    )
+    assert (code, out, err) == (0, "hom\n1 0\n0 1\next\n0 1\n0 0\n", "")
 
 
 def test_render_unsupported_pair(monkeypatch, capsys):
@@ -679,11 +687,11 @@ _BROKEN_PIPE = "E_IO: cannot write output: [Errno 32] Broken pipe\n"
 
 def test_a_pipe_closed_mid_stream_is_one_error_line():
     # `parkbases enumerate 6 bases | head -c 50`: the reader leaves after 50 bytes.
-    proc = _cli_process(["enumerate", "6", "bases"], subprocess.PIPE)
-    assert len(proc.stdout.read(50)) == 50
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)
+    with _cli_process(["enumerate", "6", "bases"], subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)
 
 
 def test_a_pipe_closed_before_the_first_byte_is_one_error_line():
@@ -695,5 +703,6 @@ def test_a_pipe_closed_before_the_first_byte_is_one_error_line():
         proc = _cli_process(["enumerate", "2", "pf"], write_end)
     finally:
         os.close(write_end)
-    err = proc.stderr.read().decode()
-    assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)
+    with proc:
+        err = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), err) == (1, _BROKEN_PIPE)

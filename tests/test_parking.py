@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from parkbases import parking
 from parkbases.braid import young_diagrams
+from parkbases.dbasis import distinguished_bases
+from parkbases.noncrossing import maximal_chains
 from parkbases.parking import (
     DyckPath,
     ParkingDiagram,
@@ -34,11 +37,6 @@ def test_is_parking_out_of_range():
         is_parking((0, 1))
     with pytest.raises(ValueError):
         is_parking((1, 3))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_parking_count(n):
-    assert sum(1 for _ in parking_functions(n)) == (n + 1) ** (n - 1)
 
 
 def test_parking_lex_order():
@@ -70,6 +68,16 @@ def test_heads_expand_to_the_parking_functions(n):
 )
 def test_enumerators_reach_any_size_without_recursion(enumerate_, first):
     assert next(enumerate_(3000)) == (first,) * 3000
+
+
+@pytest.mark.parametrize(
+    "enumerate_,n,least",
+    [(parking_functions, 0, 1), (nondecreasing_parking_functions, 0, 1), (distinguished_bases, -1, 0),
+     (maximal_chains, 0, 1)],
+)
+def test_enumerators_reject_a_size_below_their_range(enumerate_, n, least):
+    with pytest.raises(ValueError, match=f"^n must be >= {least}, got {n}$"):
+        next(enumerate_(n))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -129,12 +137,15 @@ def test_to_diagram_skips_the_diagram_checks(monkeypatch):
 
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        ParkingDiagram(labels=(1, 2), lengths=(1, 1))  # bottom row too long
-    with pytest.raises(ValueError):
-        ParkingDiagram(labels=(2, 1), lengths=(0, 0))  # column order broken
-    with pytest.raises(ValueError):
-        ParkingDiagram(labels=(1, 1), lengths=(0, 0))  # not a permutation
+    for labels, lengths, message in [
+        ((1, 2), (1, 1), "row 0 has length 1 outside the staircase"),  # bottom row too long
+        ((2, 1), (0, 0), "labels 2, 1 break the column order"),
+        ((1, 1), (0, 0), "labels must be a permutation of 1..2"),
+        ((1, 2), (0,), "labels and lengths must have equal length"),
+        ((1, 2, 3), (0, 1, 0), "row lengths must increase weakly upwards"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ParkingDiagram(labels, lengths)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -163,12 +174,16 @@ def test_dyck_requires_monotone():
 
 
 def test_dyck_validation():
-    with pytest.raises(ValueError):
-        DyckPath(((1, 0), (0, 1), (1, 0)))  # odd length
-    with pytest.raises(ValueError):
-        DyckPath(((1, 0), (1, 0), (0, 1), (0, 1)))  # crosses the diagonal
+    for steps, message in [
+        (((1, 0), (0, 1), (1, 0)), "a Dyck path has an even number of steps"),
+        (((1, 0), (1, 0), (0, 1), (0, 1)), "path crosses the staircase diagonal"),
+        (((0, 1), (2, 0)), "invalid step (2, 0)"),
+        (((0, 1), (0, 1)), "path must end at (n, 0)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DyckPath(steps)
     path = to_dyck((1, 1, 3))
-    assert len(path.steps) == 6
+    assert len(path.steps) == 6 and path.n == 3
     assert sum(1 for s in path.steps if s == (0, 1)) == 3
 
 

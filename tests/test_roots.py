@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkbases import verify
 from parkbases.roots import Root, cartan, positive_roots, seifert, simple_roots, support_relation
 from parkbases.verify import bilinear_seifert
 
@@ -88,9 +89,8 @@ def test_cartan_values():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_seifert_matches_bilinear_and_cartan(n):
-    for a, b in itertools.product(positive_roots(n), repeat=2):
-        assert seifert(a, b) == bilinear_seifert(a, b)
-        assert cartan(a, b) == bilinear_seifert(a, b) + bilinear_seifert(b, a)
+    verify.check_seifert_bilinear(n)
+    verify.check_cartan(n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import pytest
@@ -27,6 +28,15 @@ def test_braid_axioms_pin_the_orbit_length(monkeypatch):
     monkeypatch.setattr(braid, "generator_order", lambda basis, k: 6)
     entry = next(c for c in verify.run_suite(3, "braid")["checks"] if c["name"] == "braid_axioms")
     assert entry["ok"] is False and entry["counterexample"]["order"] == 6
+
+
+def test_braid_axioms_tally_the_orbit_lengths(monkeypatch):
+    # The first 100 of the 125 bases each keep the axioms, but alpha_1 has order 3 on
+    # only 60 of them, not on 3(n+1)^(n-2) = 75.
+    listing = dbasis.distinguished_bases
+    monkeypatch.setattr(dbasis, "distinguished_bases", lambda n: itertools.islice(listing(n), 100))
+    entry = next(c for c in verify.run_suite(4, "braid")["checks"] if c["name"] == "braid_axioms")
+    assert entry["ok"] is False and entry["counterexample"] == {"k": 1, "order_3": 60, "expected": 75}
 
 
 def test_nested_run_keeps_the_outer_fault(monkeypatch):
