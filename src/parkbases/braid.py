@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .bijection import _checked_stops, initial_vector, ray_stops, reconstruct
@@ -32,22 +33,30 @@ from .roots import Basis, Root, _check_ranks, seifert
 
 Direction = Literal["left", "right"]
 
+# A rank is the length of a sequence, below sys.maxsize, so a letter of more digits
+# (leading zeros aside) is out of range for every rank.
+_LETTER_DIGITS = len(str(sys.maxsize))
+
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse a braid word from whitespace-separated letters, each an optional sign and ASCII digits.
 
     Any other letter raises ValueError naming its 1-based position and its text, and so
-    does a zero letter once every letter has been read.
+    does a zero letter once every letter has been read.  A letter of more digits than
+    any rank has raises ValueError naming its position and its number of digits.
 
     >>> parse_word("1 -2 +1")
     (1, -2, 1)
     """
     letters = []
     for position, token in enumerate(text.split(), 1):
-        digits = token[1:] if token[0] in "+-" else token
+        sign, digits = (token[0], token[1:]) if token[0] in "+-" else ("", token)
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"letter {position} ({token!r}) is not an integer")
-        letters.append(int(token))
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > _LETTER_DIGITS:  # int() refuses a long enough text with its own message
+            raise ValueError(f"letter {position} ({len(digits)} digits) is out of range for every rank")
+        letters.append(int(sign + digits))
     if 0 in letters:
         raise ValueError("braid letters must be nonzero")
     return tuple(letters)

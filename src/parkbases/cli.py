@@ -2,10 +2,12 @@
 Command-line front end.
 
 Verbs: convert, enumerate, braid, orbit, render, quiver, nc, verify.
-JSON travels on stdin/stdout by default (--in / --out redirect to files) with
-the fixed field names n, f, basis, word, chain, hom, ext.  Output is
-deterministic for fixed input and flags.  Every error exits 1 after printing a
-single line "CODE: human text" on stderr; arguments argparse rejects are E_PARSE.
+JSON travels on stdin/stdout by default with the fixed field names n, f, basis,
+word, chain, hom, ext.  --out redirects any verb's output to a file, and --in
+redirects the input of the verbs that read a payload (convert, braid apply,
+render, quiver table, nc) from one.  Output is deterministic for fixed input
+and flags.  Every error exits 1 after printing a single line "CODE: human text"
+on stderr; arguments argparse rejects are E_PARSE.
 """
 from __future__ import annotations
 
@@ -210,7 +212,13 @@ def cmd_enumerate(args) -> None:
         raise CliError("E_PARSE", "n must be >= 1")
     n = args.n
     if args.count:
-        _emit(args, {"n": n, "kind": args.kind, "count": count(n)})
+        value = count(n)
+        try:  # int-to-str conversion refuses a count of more than sys.get_int_max_str_digits() digits
+            line = json.dumps({"n": n, "kind": args.kind, "count": value}, sort_keys=True) + "\n"
+        except ValueError as exc:
+            digits = sys.get_int_max_str_digits()
+            raise CliError("E_LIMIT", f"the {args.kind} count at n={n} has more than {digits} digits") from exc
+        _emit(args, line)
         return
     try:  # before their first item, the bases and chains enumerators recurse to depth n - 5
         _emit(args, lines(n, f'{{"{field}": [', f'], "n": {n}}}\n'))
@@ -251,6 +259,8 @@ _ORBIT_LIMIT = 6
 
 
 def cmd_orbit(args) -> None:
+    if args.include_beta and args.format != "dot":
+        raise CliError("E_PARSE", "--include-beta needs --format dot")
     if args.n < 2:
         raise CliError("E_PARSE", "orbit graphs need n >= 2")
     _check_limit(args, "orbit", _ORBIT_LIMIT)
@@ -319,7 +329,14 @@ def cmd_verify(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors, its subparsers' included, raise CliError("E_PARSE", ...)."""
+    """An argument parser whose errors, its subparsers' included, raise CliError("E_PARSE", ...).
+
+    Options are read only in full, so `verify 2 --in` is not `--inject-fault` and
+    `orbit 2 --in` is not `--include-beta`.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError("E_PARSE", message)
@@ -330,9 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="parkbases")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def io_flags(p):
-        p.add_argument("--in", dest="infile", help="read JSON input from a file instead of stdin")
+    def out_flag(p):
         p.add_argument("--out", dest="outfile", help="write output to a file instead of stdout")
+
+    def io_flags(p):  # the verbs that read a JSON payload
+        p.add_argument("--in", dest="infile", help="read JSON input from a file instead of stdin")
+        out_flag(p)
 
     p = sub.add_parser("convert", help="convert between parking functions and bases")
     p.add_argument("direction", choices=["pf-to-basis", "basis-to-pf"])
@@ -344,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=list(_ENUMERATE))
     p.add_argument("--count", action="store_true", help="emit only the count")
     p.add_argument("--limit", type=int, help="raise the size limit")
-    io_flags(p)
+    out_flag(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("braid", help="apply a braid word")
@@ -357,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="the full generator action graph")
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--include-beta", action="store_true")
+    p.add_argument("--include-beta", action="store_true", help="also draw the beta edges (DOT only)")
     p.add_argument("--limit", type=int, help="raise the size limit")
-    io_flags(p)
+    out_flag(p)
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("render", help="render diagrams, arcs, tables or orbits")
@@ -388,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault", action="store_true", help="self-test, must fail; suites all, bijection, quiver"
     )
     p.add_argument("--limit", type=int, help="raise the size limit")
-    io_flags(p)
+    out_flag(p)
     p.set_defaults(fn=cmd_verify)
 
     return parser

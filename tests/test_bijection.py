@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from parkbases import verify
 from parkbases.bijection import (
@@ -126,11 +124,3 @@ def test_rank3_figure_nodes_pair_up():
         basis = basis_of_pairs(pairs, 3)
         assert initial_vector(basis) == f
         assert reconstruct(f) == basis
-
-
-@given(st.integers(min_value=1, max_value=6), st.data())
-def test_round_trip_property(n, data):
-    f = data.draw(st.sampled_from(all_pfs(n)))
-    basis = reconstruct(f)
-    assert initial_vector(basis) == f
-    assert all(isinstance(r, Root) for r in basis)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from parkbases import dbasis, render, verify
 from parkbases.bijection import reconstruct
+from parkbases.braid import orbit_graph
 from parkbases.cli import _ENUMERATE, main
 from parkbases.dbasis import distinguished_bases
 from parkbases.noncrossing import maximal_chains, partition_chain
@@ -198,6 +199,7 @@ def test_braid_bad_word(monkeypatch, capsys):
         ("1 two", "letter 2 ('two') is not an integer"),
         ("1.5", "letter 1 ('1.5') is not an integer"),
         ("1 1_0", "letter 2 ('1_0') is not an integer"),
+        ("1 " + "1" * 5000, "letter 2 (5000 digits) is out of range for every rank"),
     ]:
         code, out, err = run_cli(["braid", "apply", word], '{"n":3,"f":[1,2,1]}', monkeypatch, capsys)
         assert (code, out, err) == (1, "", f"E_BAD_WORD: {message}\n")
@@ -542,6 +544,35 @@ def test_orbit_json_is_the_render_json(monkeypatch, capsys):
     render_argv = ["render", "--format", "json", "--target", "orbit"]
     _, render_out, _ = run_cli(render_argv, '{"n":3}', monkeypatch, capsys)
     assert orbit_out and orbit_out == render_out
+
+
+def test_include_beta_is_refused_outside_dot(monkeypatch, capsys):
+    # The JSON graph has no beta edges to add, so the flag would change nothing there.
+    code, out, err = run_cli(["orbit", "3", "--format", "json", "--include-beta"], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "E_PARSE: --include-beta needs --format dot\n")
+    code, out, err = run_cli(["orbit", "3", "--include-beta"], "", monkeypatch, capsys)
+    assert code == 0 and err == "" and out == render.orbit_dot(orbit_graph(3), include_beta=True)
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "2", "pf"], ["orbit", "2"], ["verify", "2"]])
+def test_verbs_that_read_no_payload_refuse_in(argv, tmp_path, monkeypatch, capsys):
+    # Not ignored, even for a missing file, and not read as an abbreviation of
+    # `--include-beta` (orbit) or `--inject-fault` (verify) when it comes alone.
+    for extra in (["--in", str(tmp_path / "missing.json")], ["--in"]):
+        code, out, err = run_cli([*argv, *extra], "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_PARSE: unrecognized arguments: {' '.join(extra)}\n")
+
+
+@pytest.mark.parametrize("kind, n", [("pf", 1372), ("bases", 1372), ("chains", 1372), ("nondecreasing", 7153)])
+def test_a_count_past_the_int_text_limit_is_one_error_line(kind, n, tmp_path, monkeypatch, capsys):
+    # n - 1 is the last size whose count has at most sys.get_int_max_str_digits() = 4,300 digits.
+    code, out, err = run_cli(["enumerate", str(n - 1), kind, "--count", "--limit", str(n)], "", monkeypatch, capsys)
+    assert (code, err) == (0, "") and json.loads(out)["count"] == _ENUMERATE[kind][1](n - 1)
+    outfile = tmp_path / "count.json"
+    argv = ["enumerate", str(n), kind, "--count", "--limit", str(n), "--out", str(outfile)]
+    code, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"E_LIMIT: the {kind} count at n={n} has more than 4300 digits\n")
+    assert not outfile.exists()  # refused before anything is written
 
 
 # Fuzzing the stdin verbs: every payload either succeeds or gets one error line.

@@ -2,8 +2,6 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from parkbases import parking
 from parkbases.braid import young_diagrams
@@ -117,12 +115,6 @@ def test_diagram_nondecreasing_labels_bottom_up():
     assert d.labels == (1, 2, 3, 4, 5, 6, 7)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_diagram_round_trip_exhaustive(n):
-    for f in all_pfs(n):
-        assert from_diagram(to_diagram(f)) == f
-
-
 def test_to_diagram_skips_the_diagram_checks(monkeypatch):
     # Every check of ParkingDiagram.__post_init__ follows from f being parking.
     def refuse(self):
@@ -185,11 +177,3 @@ def test_dyck_validation():
     path = to_dyck((1, 1, 3))
     assert len(path.steps) == 6 and path.n == 3
     assert sum(1 for s in path.steps if s == (0, 1)) == 3
-
-
-@given(st.integers(min_value=1, max_value=6), st.data())
-def test_random_parking_function_diagram_roundtrip(n, data):
-    f = data.draw(st.sampled_from(all_pfs(n)))
-    d = to_diagram(f)
-    assert from_diagram(d) == f
-    assert sorted(d.lengths) == list(d.lengths)
