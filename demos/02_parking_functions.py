@@ -13,7 +13,6 @@ from parkbases import (
     nondecreasing_parking_functions,
     parking_functions,
     to_diagram,
-    to_dyck,
 )
 from parkbases.render import diagram_ascii
 
@@ -33,6 +32,6 @@ n = 4
 fns = list(nondecreasing_parking_functions(n))
 print(f"\nnon-decreasing parking functions on {n} cars: {len(fns)} = catalan({n}) = {catalan(n)}")
 for f in fns:
-    path = to_dyck(f)
-    picture = "".join("N" if step == (0, 1) else "E" for step in path.steps)
+    # the diagram's boundary from (0, -n) to (n, 0): each row's east steps to its end, then north
+    picture = "".join("E" * (v - prev) + "N" for prev, v in zip((1, *f), f)) + "E" * (n + 1 - f[-1])
     print(f"  {f}  boundary path {picture}")

@@ -14,10 +14,10 @@ beta_k, applied left to right.  `apply_word` is the one place the rule is
 written, once for both letters: the positive versions of a_k - s * a_{k+1}
 and a_{k+1} - s * a_k are the same root c, so alpha_k writes (a_{k+1}, c) and
 beta_k writes (c, a_k).  `mutate` applies the one-letter word (k,) or (-k,),
-and the orbit, arc and parking helpers read a mutated pair off a two-root
-word.  `orbit_graph` runs that word once per ordered pair of arcs, not once
-per edge: the new left ends of an alpha edge depend only on the pair it moves,
-so one table per call, keyed by the pair's two arc indices, serves every edge.
+and the orbit and parking helpers read a mutated pair off a two-root word.
+`orbit_graph` runs that word once per ordered pair of arcs, not once per edge:
+the new left ends of an alpha edge depend only on the pair it moves, so one
+table per call, keyed by the pair's two arc indices, serves every edge.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .bijection import _checked_stops, initial_vector, ray_stops, reconstruct
 from .dbasis import _point_bases
-from .parking import ParkingDiagram, _diagram, from_diagram, nondecreasing_parking_functions
+from .parking import ParkingDiagram, _diagram, from_diagram
 from .roots import Basis, Root, _check_ranks, seifert
 
 Direction = Literal["left", "right"]
@@ -106,17 +106,6 @@ def mutate_parking(f: Sequence[int], k: int, direction: Direction) -> tuple[int,
     _check_k(n, k)
     a, b = apply_word((Root(f[k - 1], stops[k - 1], n), Root(f[k], stops[k], n)), (_sign(direction),))
     return f[: k - 1] + (a.lo, b.lo) + f[k + 1 :]
-
-
-def arc_mutation_target(a: Root, b: Root) -> Root:
-    """The positive version of a - <a,b> b, defined when seifert(b, a) == 0.
-
-    This is the root produced at the moved position by a mutation of an
-    adjacent pair (a, b).
-    """
-    if seifert(b, a) != 0:
-        raise ValueError(f"seifert({b}, {a}) != 0")
-    return apply_word((a, b), (1,))[1]
 
 
 def generator_order(basis: Sequence[Root], k: int) -> int:
@@ -356,14 +345,3 @@ def flip_row(young: Sequence[int], k: int) -> Young:
         if x == 0 or d == 0 or row[d] <= x <= row[d - 1]:
             break
     return tuple(sorted(mu[: k - 1] + mu[k:] + (x,), reverse=True))
-
-
-def young_diagrams(n: int) -> Iterator[Young]:
-    """All staircase Young diagrams with n rows (counted by Catalan numbers).
-
-    Each is read off a non-decreasing parking function f, whose top-down rows are
-    v - 1 for v in reversed f (`young_of_diagram`), so the diagrams come in the
-    lexicographic order of `nondecreasing_parking_functions`.
-    """
-    for f in nondecreasing_parking_functions(n):
-        yield tuple(v - 1 for v in reversed(f))

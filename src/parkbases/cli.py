@@ -84,6 +84,24 @@ def _emit(args, out) -> None:
         raise CliError("E_IO", f"cannot write output: {exc}") from exc
 
 
+def _integer(text: str) -> int:
+    """argparse's `type=int` for n and --limit, refusing a text of too many digits without echoing it.
+
+    int() refuses more decimal digits than sys.get_int_max_str_digits() (0: no bound),
+    leading zeros included, and argparse would echo the whole text with its refusal.
+
+    >>> _integer(" +07 "), _integer("1_000")
+    (7, 1000)
+    """
+    bound = sys.get_int_max_str_digits()
+    if bound and len(text) > bound and (digits := sum(map(str.isdecimal, text))) > bound:
+        raise argparse.ArgumentTypeError(f"{digits} digits, more than the {bound} Python reads as an int")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _check_limit(args, what: str, default: int) -> None:
     """Reject args.n above --limit, or above `default` when --limit is not given."""
     if args.limit is not None and args.limit < 1:
@@ -254,16 +272,12 @@ def cmd_braid(args) -> None:
     )
 
 
-# The largest n of an orbit graph: `orbit`'s default --limit and `render --target orbit`'s bound.
-_ORBIT_LIMIT = 6
-
-
 def cmd_orbit(args) -> None:
     if args.include_beta and args.format != "dot":
         raise CliError("E_PARSE", "--include-beta needs --format dot")
     if args.n < 2:
         raise CliError("E_PARSE", "orbit graphs need n >= 2")
-    _check_limit(args, "orbit", _ORBIT_LIMIT)
+    _check_limit(args, "orbit", 6)  # orbit_graph(6) holds about 16 MiB; n = 7 would need about 300 MiB
     graph = orbit_graph(args.n)
     if args.format == "dot":
         _emit(args, render.orbit_dot(graph, include_beta=args.include_beta))
@@ -281,15 +295,8 @@ def cmd_render(args) -> None:
         obj = to_diagram(_payload_pf(payload))
     elif args.target == "arcs":
         obj = to_arcs(_payload_basis(payload))
-    elif args.target == "table":
-        obj = hom_ext_table(modules_of(_payload_basis(payload)))
     else:
-        n = payload.get("n")
-        if type(n) is not int:
-            raise CliError("E_PARSE", "orbit rendering needs an integer field 'n'")
-        if n < 2 or n > _ORBIT_LIMIT:
-            raise CliError("E_LIMIT", f"orbit rendering supports 2 <= n <= {_ORBIT_LIMIT}")
-        obj = orbit_graph(n)
+        obj = hom_ext_table(modules_of(_payload_basis(payload)))
     _emit(args, render.render(spec, obj))
 
 
@@ -360,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("enumerate", help="enumerate parking functions, bases or chains")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("kind", choices=list(_ENUMERATE))
     p.add_argument("--count", action="store_true", help="emit only the count")
-    p.add_argument("--limit", type=int, help="raise the size limit")
+    p.add_argument("--limit", type=_integer, help="raise the size limit")
     out_flag(p)
     p.set_defaults(fn=cmd_enumerate)
 
@@ -375,16 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_braid)
 
     p = sub.add_parser("orbit", help="the full generator action graph")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--include-beta", action="store_true", help="also draw the beta edges (DOT only)")
-    p.add_argument("--limit", type=int, help="raise the size limit")
+    p.add_argument("--limit", type=_integer, help="raise the size limit")
     out_flag(p)
     p.set_defaults(fn=cmd_orbit)
 
-    p = sub.add_parser("render", help="render diagrams, arcs, tables or orbits")
+    p = sub.add_parser("render", help="render diagrams, arcs or tables")
     p.add_argument("--format", required=True, choices=list(render.FORMATS))
-    p.add_argument("--target", required=True, choices=list(render.TARGETS))
+    # An orbit graph is the `orbit` verb's output, which renders through the same RENDERERS.
+    p.add_argument("--target", required=True, choices=[t for t in render.TARGETS if t != "orbit"])
     io_flags(p)
     p.set_defaults(fn=cmd_render)
 
@@ -402,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=cmd_nc, action=action)
 
     p = sub.add_parser("verify", help="run the cross-checking suites")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("suite", nargs="?", default="all", choices=["all", *verify.SUITES])
     p.add_argument(
         "--inject-fault", action="store_true", help="self-test, must fail; suites all, bijection, quiver"
     )
-    p.add_argument("--limit", type=int, help="raise the size limit")
+    p.add_argument("--limit", type=_integer, help="raise the size limit")
     out_flag(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -31,7 +31,7 @@ test, the Seifert scan and the arc rules only name rejections.
 
 Enumeration splits the axis: the roots that may follow the arc (p_i, p_j) are
 the arcs among the points outside it, points[:i] + points[j:], and among the
-points inside it, points[i:j] (`_split`, also read by `right_orthogonal_basis`).
+points inside it, points[i:j] (`_split`).
 The ways to interleave the two sub-bases depend only on the number of points t
 and of outside roots m, so `_gathers` caches them per (t, m): a pure table, shared
 by every call and thread.
@@ -225,55 +225,31 @@ def from_arcs(diagram: ArcDiagram) -> Basis:
     return tuple(Root(left + 1, right, diagram.rank) for left, right in diagram.arcs)
 
 
-def span(basis: Sequence[Root], i: int) -> set[int]:
-    """The union of supports of basis roots strictly inside a_i (i is 1-based)."""
+def gap(basis: Sequence[Root], i: int) -> int:
+    """The unique support point of a_i not covered by the supports of strictly smaller roots.
+
+    i is 1-based.  On a valid basis the uncovered set is a single point; anything else
+    means the input was not a valid basis (or an internal bug) and raises.
+    """
     if not 1 <= i <= len(basis):
         raise ValueError(f"position {i} outside 1..{len(basis)}")
     a = basis[i - 1]
-    covered: set[int] = set()
+    holes = set(a.support())
     for other in basis:
         if other != a and a.lo <= other.lo and other.hi <= a.hi:
-            covered.update(other.support())
-    return covered
-
-
-def gap(basis: Sequence[Root], i: int) -> int:
-    """The unique support point of a_i not covered by strictly smaller roots.
-
-    On a valid basis the uncovered set is a single point; anything else means
-    the input was not a valid basis (or an internal bug) and raises.
-    """
-    covered = span(basis, i)  # checks i first
-    holes = set(basis[i - 1].support()) - covered
+            holes.difference_update(other.support())
     if len(holes) != 1:
         raise RuntimeError(f"gap of a_{i} is {sorted(holes)}, expected a single point")
     return holes.pop()
 
 
 def _split(points: tuple[int, ...], i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axis points outside and inside the arc (points[i], points[j])."""
-    return points[:i] + points[j:], points[i:j]
+    """The axis points outside and inside the arc (points[i], points[j]).
 
-
-def right_orthogonal_basis(root: Root, n: int) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
-    """Generator chains for the roots that may follow `root` in a basis.
-
-    The roots v admissible after r = [k, m] are exactly those with
-    seifert(v, r) == 0.  They form two mutually orthogonal sublattices with
-    the chains returned here as simple generators:
-
-      first:   e_1, ..., e_{k-2}, [k-1, m], e_{m+1}, ..., e_n   (rank n-m+k-1)
-      second:  e_k, ..., e_{m-1}                                 (rank m-k)
-
-    Each returned chain lists pairwise adjacent generators whose consecutive
-    sums are again roots; consecutive sums of either chain exhaust the
-    admissible roots.
+    On the axis 0..n, the roots v with seifert(v, r) == 0 for the arc's root r, those that
+    may follow r in a basis, are exactly the arcs among either part (tested for n <= 8).
     """
-    if root.rank != n:
-        raise ValueError(f"root rank {root.rank} != {n}")
-    split = _split(tuple(range(n + 1)), root.lo - 1, root.hi)
-    first, second = (tuple(Root(a + 1, b, n) for a, b in zip(p, p[1:])) for p in split)
-    return first, second
+    return points[:i] + points[j:], points[i:j]
 
 
 def _point_bases(points: tuple[int, ...], leaf: Callable[[int, int], object]) -> Iterable[tuple]:
@@ -374,15 +350,3 @@ def distinguished_bases(n: int) -> Iterator[Basis]:
 def basis_count(n: int) -> int:
     """The closed-form count (n+1)^(n-1) of bases of rank n."""
     return (n + 1) ** (n - 1) if n >= 1 else 1
-
-
-def nondecreasing_representative(roots: Sequence[Root]) -> Basis:
-    """Reorder a family of roots with pairwise distinct right ends.
-
-    Sorting by (lo ascending, hi descending) yields the unique valid ordering
-    whose sequence of left endpoints is non-decreasing.
-    """
-    rep = tuple(sorted(roots, key=lambda r: (r.lo, -r.hi)))
-    if len({r.hi for r in rep}) != len(rep):
-        raise ValueError("roots must have pairwise distinct right ends")
-    return rep

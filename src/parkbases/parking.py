@@ -1,5 +1,5 @@
 """
-Parking functions, their staircase diagrams and Dyck paths.
+Parking functions and their staircase diagrams.
 
 Conventions:
 
@@ -14,17 +14,12 @@ Conventions:
   is always bottom-up.)
 - The south-east corner of the row labelled k is the lattice point
   P_k = (f(k) - 1, p - n) where p is the 0-based bottom-up position of the row.
-- The Dyck path of a diagram is its boundary, walked from (0, -n) to (n, 0) with
-  unit north (0,1) and east (1,0) steps; it never crosses the line y = x - n.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from typing import Iterator, Sequence
-
-NORTH = (0, 1)
-EAST = (1, 0)
 
 
 def is_parking(values: Sequence[int]) -> bool:
@@ -134,59 +129,6 @@ def from_diagram(diagram: ParkingDiagram) -> tuple[int, ...]:
     for label, length in zip(diagram.labels, diagram.lengths):
         f[label - 1] = length + 1
     return tuple(f)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class DyckPath:
-    """A lattice path of 2n unit steps, n north and n east, from (0,-n) to (n,0)."""
-
-    steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.steps) % 2:
-            raise ValueError("a Dyck path has an even number of steps")
-        n = len(self.steps) // 2
-        x, y = 0, -n
-        for step in self.steps:
-            if step not in (NORTH, EAST):
-                raise ValueError(f"invalid step {step}")
-            x, y = x + step[0], y + step[1]
-            if x - y > n:
-                raise ValueError("path crosses the staircase diagonal")
-        if (x, y) != (n, 0):
-            raise ValueError("path must end at (n, 0)")
-
-    @property
-    def n(self) -> int:
-        return len(self.steps) // 2
-
-
-def to_dyck(values: Sequence[int]) -> DyckPath:
-    """The boundary Dyck path of a non-decreasing parking function.
-
-    Raises ValueError unless the input is non-decreasing; on non-decreasing
-    parking functions this is a bijection (see `from_dyck`).
-    """
-    f = _checked(values)
-    if any(f[i] > f[i + 1] for i in range(len(f) - 1)):
-        raise ValueError(f"{f} is not non-decreasing")
-    steps: list[tuple[int, int]] = []
-    for prev, v in zip((1, *f), f):  # f is sorted: its rows bottom-up have lengths v - 1
-        steps += [EAST] * (v - prev) + [NORTH]
-    steps += [EAST] * (len(f) + 1 - max(f, default=1))
-    return DyckPath(tuple(steps))
-
-
-def from_dyck(path: DyckPath) -> tuple[int, ...]:
-    """The non-decreasing parking function with the given boundary path."""
-    lengths = []
-    x = 0
-    for step in path.steps:
-        if step == EAST:
-            x += 1
-        else:
-            lengths.append(x)
-    return tuple(length + 1 for length in lengths)
 
 
 def parking_functions(n: int) -> Iterator[tuple[int, ...]]:

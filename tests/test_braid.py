@@ -12,7 +12,6 @@ from parkbases.bijection import initial_vector, reconstruct
 from parkbases.braid import (
     apply_word,
     apply_word_parking,
-    arc_mutation_target,
     flip_row,
     generator_order,
     mutate,
@@ -21,10 +20,16 @@ from parkbases.braid import (
     orbit_graph,
     parse_word,
     validate_young,
-    young_diagrams,
     young_of_diagram,
 )
-from parkbases.parking import ParkingDiagram, catalan, from_diagram, parking_functions, to_diagram
+from parkbases.parking import (
+    ParkingDiagram,
+    catalan,
+    from_diagram,
+    nondecreasing_parking_functions,
+    parking_functions,
+    to_diagram,
+)
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
 from helpers import all_bases, all_pfs, basis_of_pairs, long_families, random_parking
@@ -196,40 +201,25 @@ def test_parse_word():
             parse_word(text)
 
 
-def test_arc_mutation_target_cases():
-    n = 3
-    a, b = Root(1, 3, n), Root(1, 1, n)
-    assert arc_mutation_target(a, b) == Root(2, 3, n)  # shared left ends
-    a, b = Root(2, 3, n), Root(1, 3, n)
-    assert arc_mutation_target(a, b) == Root(1, 1, n)  # shared right ends
-    a, b = Root(1, 1, n), Root(2, 3, n)
-    assert arc_mutation_target(a, b) == Root(1, 3, n)  # touching
-    a, b = Root(1, 1, n), Root(3, 3, n)
-    assert arc_mutation_target(a, b) == a  # orthogonal
-
-
-def test_arc_mutation_target_requires_orthogonality():
-    with pytest.raises(ValueError):
-        arc_mutation_target(Root(1, 1, 2), Root(1, 2, 2))
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_arc_mutation_endpoint_rules(n):
-    # classify every admissible pair by picture and check the left endpoint
+    # Classify every pair (a, b) with seifert(b, a) == 0 by picture: alpha_1 writes b first
+    # and, at the moved position, the positive version c of a - seifert(a, b) * b.
     for a in positive_roots(n):
         for b in positive_roots(n):
             if a == b or seifert(b, a) != 0:
                 continue
             s = seifert(a, b)
-            c = arc_mutation_target(a, b)
+            first, c = apply_word((a, b), (1,))
+            assert first == b
             if s == 0:
                 assert c == a
-            elif a.lo == b.lo:
-                assert c.lo == b.hi + 1
-            elif a.hi == b.hi:
-                assert c.lo == b.lo
-            else:
-                assert a.hi + 1 == b.lo and c.lo == a.lo
+            elif a.lo == b.lo:  # shared left ends
+                assert c == Root(b.hi + 1, a.hi, n)
+            elif a.hi == b.hi:  # shared right ends
+                assert c == Root(b.lo, a.lo - 1, n)
+            else:  # touching
+                assert a.hi + 1 == b.lo and c == Root(a.lo, b.hi, n)
 
 
 def _combine_by_coefficients(a, s, b):
@@ -468,8 +458,8 @@ def test_flips_stay_in_staircase_and_reverse(n):
     # Every diagram and row up to n = 6; beyond, three seeded diagrams and twelve rows each.
     # flip_row returns its rows without validate_young, so the check runs here.
     if n <= 6:
-        youngs = list(young_diagrams(n))
-        assert len(youngs) == catalan(n)
+        youngs = [young_of_diagram(to_diagram(f)) for f in nondecreasing_parking_functions(n)]
+        assert len(set(youngs)) == catalan(n)
         rows = [range(1, n + 1)] * len(youngs)
     else:
         rng = random.Random(n)

@@ -355,13 +355,6 @@ def test_unwritable_out_is_one_error_line(target, tmp_path, monkeypatch, capsys)
     assert _single_error(code, out, err, "E_IO:")
 
 
-def test_render_orbit_rejects_non_integer_n(monkeypatch, capsys):
-    argv = ["render", "--format", "json", "--target", "orbit"]
-    for payload in ('{"n":[1]}', '{"n":true}', '{"n":3.0}', "{}"):
-        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
-        assert _single_error(code, out, err, "E_PARSE:"), payload
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -381,11 +374,6 @@ def test_orbit_limit_messages(monkeypatch, capsys):
     code, out, err = run_cli(["orbit", "7"], "", monkeypatch, capsys)
     assert _single_error(code, out, err, "E_LIMIT:")
     assert err == "E_LIMIT: n=7 exceeds the orbit limit 6; raise it with --limit\n"
-    argv = ["render", "--format", "json", "--target", "orbit"]
-    for payload in ('{"n":7}', '{"n":1}'):
-        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
-        assert _single_error(code, out, err, "E_LIMIT:"), payload
-        assert err == "E_LIMIT: orbit rendering supports 2 <= n <= 6\n"
 
 
 def test_convert_rejects_bools_in_f(monkeypatch, capsys):
@@ -541,9 +529,13 @@ def test_enumerate_memory_stays_flat(monkeypatch):
 
 def test_orbit_json_is_the_render_json(monkeypatch, capsys):
     _, orbit_out, _ = run_cli(["orbit", "3", "--format", "json"], "", monkeypatch, capsys)
-    render_argv = ["render", "--format", "json", "--target", "orbit"]
-    _, render_out, _ = run_cli(render_argv, '{"n":3}', monkeypatch, capsys)
-    assert orbit_out and orbit_out == render_out
+    assert orbit_out and orbit_out == render.render(render.RenderSpec("json", "orbit"), orbit_graph(3))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_render_leaves_orbit_graphs_to_the_orbit_verb(fmt, monkeypatch, capsys):
+    code, out, err = run_cli(["render", "--format", fmt, "--target", "orbit"], '{"n":3}', monkeypatch, capsys)
+    assert _single_error(code, out, err, "E_PARSE: argument --target: invalid choice: 'orbit'")
 
 
 def test_include_beta_is_refused_outside_dot(monkeypatch, capsys):
@@ -575,6 +567,32 @@ def test_a_count_past_the_int_text_limit_is_one_error_line(kind, n, tmp_path, mo
     assert not outfile.exists()  # refused before anything is written
 
 
+_DIGITS = sys.get_int_max_str_digits()  # int() reads at most this many digits, leading zeros included
+
+
+@pytest.mark.parametrize(
+    "argv, what, limit",
+    [(["enumerate", "{}", "pf"], "pf", 8), (["orbit", "{}"], "orbit", 6), (["verify", "{}"], "all", 5)],
+    ids=["enumerate", "orbit", "verify"],
+)
+def test_an_integer_of_too_many_digits_is_one_short_error_line(argv, what, limit, monkeypatch, capsys):
+    small = [arg.format(2) for arg in argv]
+    _, expected, _ = run_cli(small, "", monkeypatch, capsys)
+    # At the bound, n and --limit are read as int() reads them, the sign not counted: an E_LIMIT
+    # line that names n, or the usual answer.
+    n = "9" * _DIGITS
+    code, out, err = run_cli([arg.format("+" + n) for arg in argv], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"E_LIMIT: n={n} exceeds the {what} limit {limit}; raise it with --limit\n")
+    code, out, err = run_cli([*small, "--limit", "+1" + "0" * (_DIGITS - 1)], "", monkeypatch, capsys)
+    assert (code, out, err) == (0, expected, "")
+    # One digit more, leading zeros counted, is one E_PARSE line that names the digit count, not the digits.
+    for name, args in [("n", [arg.format("0" * _DIGITS + "3") for arg in argv]),
+                       ("--limit", [*small, "--limit", "1" * (_DIGITS + 1)])]:
+        code, out, err = run_cli(args, "", monkeypatch, capsys)
+        message = f"E_PARSE: argument {name}: {_DIGITS + 1} digits, more than the {_DIGITS} Python reads as an int\n"
+        assert (code, out, err) == (1, "", message) and len(err) < 200
+
+
 # Fuzzing the stdin verbs: every payload either succeeds or gets one error line.
 STDIN_VERBS = [
     ["convert", "pf-to-basis"],
@@ -588,8 +606,7 @@ STDIN_VERBS = [
         ["render", "--format", fmt, "--target", target]
         for fmt, target in [("ascii", "diagram"), ("ascii", "arcs"), ("ascii", "table"),
                             ("svg", "diagram"), ("svg", "arcs"), ("json", "diagram"),
-                            ("json", "arcs"), ("json", "table"), ("json", "orbit"),
-                            ("dot", "arcs")]
+                            ("json", "arcs"), ("json", "table"), ("dot", "arcs")]
     ),
 ]
 _SMALL = st.integers(-2, 5)

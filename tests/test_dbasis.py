@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from parkbases import dbasis, linalg, verify
-from parkbases.bijection import initial_vector, reconstruct
+from parkbases.bijection import reconstruct
 from parkbases.dbasis import (
     ArcDiagram,
     BasisError,
@@ -17,9 +17,6 @@ from parkbases.dbasis import (
     from_arcs,
     gap,
     is_basis,
-    nondecreasing_representative,
-    right_orthogonal_basis,
-    span,
     to_arcs,
     validate_basis,
 )
@@ -215,16 +212,13 @@ def test_gap_identity_basis():
 def test_gap_of_reconstructed_basis():
     basis = reconstruct((2, 1, 1))
     assert basis == basis_of_pairs([(2, 2), (1, 3), (1, 2)], 3)
-    assert span(basis, 2) == {1, 2}
     assert gap(basis, 2) == 3
 
 
 @pytest.mark.parametrize("i", [0, -1, 4])
-def test_span_and_gap_reject_positions_outside_the_basis(i):
-    basis = reconstruct((2, 2, 1))
-    for fn in (span, gap):
-        with pytest.raises(ValueError, match="outside 1..3"):
-            fn(basis, i)
+def test_gap_rejects_positions_outside_the_basis(i):
+    with pytest.raises(ValueError, match=r"^position -?\d outside 1\.\.3$"):
+        gap(reconstruct((2, 2, 1)), i)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -232,41 +226,18 @@ def test_gap_is_single_point_exhaustive(n):
     verify.check_gap_single(n)
 
 
-def test_right_orthogonal_examples():
-    first, second = right_orthogonal_basis(Root(2, 2, 3), 3)
-    assert [r.as_pair() for r in first] == [(1, 2), (3, 3)]
-    assert second == ()
-    first, second = right_orthogonal_basis(Root(1, 4, 4), 4)
-    assert first == ()
-    assert [r.as_pair() for r in second] == [(1, 1), (2, 2), (3, 3)]
-    with pytest.raises(ValueError, match=r"^root rank 2 != 3$"):
-        right_orthogonal_basis(Root(1, 1, 2), 3)
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_right_orthogonal_is_the_follower_lattice(n):
-    # The chains generate exactly the roots that may appear after r in a
-    # basis, i.e. those v with seifert(v, r) == 0.
+    # The roots v with seifert(v, r) == 0, those that may follow r in a basis, are the arcs
+    # among the axis points outside r's arc and among the points inside it: the split that
+    # `_headed_bases` enumerates after each head arc.
+    points = tuple(range(n + 1))
     for r in positive_roots(n):
-        first, second = right_orthogonal_basis(r, n)
-        for v in first + second:
-            assert seifert(v, r) == 0
-        produced = set()
-        for chain in (first, second):
-            for i in range(len(chain)):
-                for j in range(i, len(chain)):
-                    produced.add(Root(chain[i].lo, chain[j].hi, n))
-        admissible = {v for v in positive_roots(n) if seifert(v, r) == 0}
-        assert produced == admissible
-
-
-def test_right_orthogonal_component_ranks():
-    for n in range(1, 7):
-        for r in positive_roots(n):
-            first, second = right_orthogonal_basis(r, n)
-            k, m = r.lo, r.hi
-            assert len(first) == n - m + k - 1
-            assert len(second) == m - k
+        outside, inside = dbasis._split(points, r.lo - 1, r.hi)
+        arcs = [*itertools.combinations(outside, 2), *itertools.combinations(inside, 2)]
+        followers = {Root(a + 1, b, n) for a, b in arcs}
+        assert len(followers) == len(arcs)
+        assert followers == {v for v in positive_roots(n) if seifert(v, r) == 0}
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -466,16 +437,6 @@ def test_ordering_rules_imply_forest(n):
     for arcs in _noncrossing_arc_sets(n):
         if _orderable(arcs):
             assert not _has_cycle(arcs, n), arcs
-
-
-def test_nondecreasing_representative():
-    basis = basis_of_pairs([(1, 2), (3, 3), (1, 1)], 3)
-    rep = nondecreasing_representative(basis)
-    assert rep == basis_of_pairs([(1, 2), (1, 1), (3, 3)], 3)
-    values = initial_vector(rep)
-    assert list(values) == sorted(values)
-    with pytest.raises(ValueError):
-        nondecreasing_representative(basis_of_pairs([(1, 2), (2, 2)], 2))
 
 
 def _code(roots, n):

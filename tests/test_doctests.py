@@ -1,5 +1,6 @@
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -13,3 +14,9 @@ MODULES = [importlib.import_module(f"parkbases.{info.name}") for info in pkgutil
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_library_tour():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False)
+    assert failures == 0 and tried > 0

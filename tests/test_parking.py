@@ -3,22 +3,17 @@ import re
 
 import pytest
 
-from parkbases import parking
-from parkbases.braid import young_diagrams
 from parkbases.dbasis import distinguished_bases
 from parkbases.noncrossing import maximal_chains
 from parkbases.parking import (
-    DyckPath,
     ParkingDiagram,
     _heads,
     catalan,
     from_diagram,
-    from_dyck,
     is_parking,
     nondecreasing_parking_functions,
     parking_functions,
     to_diagram,
-    to_dyck,
 )
 
 from helpers import all_pfs, long_families
@@ -60,10 +55,7 @@ def test_heads_expand_to_the_parking_functions(n):
     assert not any(top < n and is_parking(head + (top + 1,)) for head, top in _heads(n))
 
 
-@pytest.mark.parametrize(
-    "enumerate_,first",
-    [(parking_functions, 1), (nondecreasing_parking_functions, 1), (young_diagrams, 0)],
-)
+@pytest.mark.parametrize("enumerate_,first", [(parking_functions, 1), (nondecreasing_parking_functions, 1)])
 def test_enumerators_reach_any_size_without_recursion(enumerate_, first):
     assert next(enumerate_(3000)) == (first,) * 3000
 
@@ -138,42 +130,3 @@ def test_diagram_validation():
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ParkingDiagram(labels, lengths)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_dyck_round_trip_exhaustive(n):
-    seen = set()
-    for f in nondecreasing_parking_functions(n):
-        path = to_dyck(f)
-        assert from_dyck(path) == f
-        seen.add(path.steps)
-    assert len(seen) == catalan(n)
-
-
-def test_dyck_builds_no_diagram(monkeypatch):
-    def refuse(values):
-        raise AssertionError("to_dyck builds a ParkingDiagram")
-
-    monkeypatch.setattr(parking, "to_diagram", refuse)
-    for n in range(1, 8):
-        for f in nondecreasing_parking_functions(n):
-            assert from_dyck(to_dyck(f)) == f
-
-
-def test_dyck_requires_monotone():
-    with pytest.raises(ValueError):
-        to_dyck((2, 1))
-
-
-def test_dyck_validation():
-    for steps, message in [
-        (((1, 0), (0, 1), (1, 0)), "a Dyck path has an even number of steps"),
-        (((1, 0), (1, 0), (0, 1), (0, 1)), "path crosses the staircase diagonal"),
-        (((0, 1), (2, 0)), "invalid step (2, 0)"),
-        (((0, 1), (0, 1)), "path must end at (n, 0)"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            DyckPath(steps)
-    path = to_dyck((1, 1, 3))
-    assert len(path.steps) == 6 and path.n == 3
-    assert sum(1 for s in path.steps if s == (0, 1)) == 3
