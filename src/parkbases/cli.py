@@ -24,7 +24,8 @@ from .bijection import initial_vector, reconstruct
 from .braid import apply_word, generator_order, orbit_graph, parse_word
 from .dbasis import BasisError, _point_bases, basis_count, distinguished_bases, to_arcs, validate_basis
 from .parking import (
-    _heads,
+    _head_walk,
+    _tails,
     catalan,
     is_parking,
     nondecreasing_parking_functions,
@@ -56,14 +57,17 @@ def _read_payload(args) -> dict:
     return payload
 
 
-# Lines per write of an iterable: enough to amortise each `write`, few enough that memory stays flat.
+# Texts per write of an iterable, and lines per block of `pf` lines: enough to amortise each
+# `write` and each join, few enough that memory stays flat.
 _CHUNK = 64
 
 
 def _emit(args, out) -> None:
-    """Write a dict as one JSON line, a string as it is, or an iterable of lines in chunks.
+    """Write a dict as one JSON line, a string as it is, or an iterable of texts in chunks.
 
-    Each chunk is the join of the next `_CHUNK` lines, written as they are generated.
+    Each chunk is the join of the next `_CHUNK` texts, written as they are generated.  A text
+    is one line, or a block of at most `_CHUNK` lines (`_pf_lines`), so a write holds at most
+    `_CHUNK`^2 lines.
     Only `write` is called (and `flush` on sys.__stdout__), so any object with a `write` method will do.
     """
     if isinstance(out, dict):
@@ -102,13 +106,19 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+# The most digits of n an E_LIMIT line echoes; a longer n is named by its digit count.
+_ECHO_DIGITS = 40
+
+
 def _check_limit(args, what: str, default: int) -> None:
     """Reject args.n above --limit, or above `default` when --limit is not given."""
     if args.limit is not None and args.limit < 1:
         raise CliError("E_PARSE", "--limit must be >= 1")
     limit = default if args.limit is None else args.limit
     if args.n > limit:
-        raise CliError("E_LIMIT", f"n={args.n} exceeds the {what} limit {limit}; raise it with --limit")
+        digits = len(str(args.n))
+        name = f"n={args.n}" if digits <= _ECHO_DIGITS else f"an n of {digits} digits"
+        raise CliError("E_LIMIT", f"{name} exceeds the {what} limit {limit}; raise it with --limit")
 
 
 def _pairs(basis: tuple[Root, ...]) -> list[list[int]]:
@@ -192,20 +202,33 @@ def _joined(texts_of):
 
 
 def _pf_lines(n: int, head: str, tail: str):
-    """The parking-function lines, per odometer head f[:n-1]: the head's text once, then one
-    concatenation per last entry v with the text of v and the tail."""
-    first = [f"{v}, " for v in range(n + 1)].__getitem__
-    ends = [f"{v}{tail}" for v in range(1, n + 1)]
-    for f, top in _heads(n):
-        yield from map((head + "".join(map(first, f))).__add__, ends[:top])
+    """The parking-function lines, in blocks: per head f[:n-2] of `parking._head_walk`, one join
+    of the head's text with the lines of its two-entry tails.
+
+    The tails depend only on the head's two empty spots (b, a), so their lines are made once per
+    key, in blocks of at most `_CHUNK` lines (one block for every key when n <= 8), each led
+    by "" so that the join puts the head's text before every line.
+    """
+    if n == 1:  # no two-entry tail
+        yield f"{head}1{tail}"
+        return
+
+    @functools.cache  # per call: at most n^2 keys
+    def blocks(b: int, a: int) -> list[list[str]]:
+        lines = [f"{v}, {w}{tail}" for v, w in _tails(b, a)]
+        return [["", *lines[i : i + _CHUNK]] for i in range(0, len(lines), _CHUNK)]
+
+    for text, b, a in _head_walk(n, head, [f"{v}, " for v in range(n + 1)]):
+        yield from map(text.join, blocks(b, a))
 
 
 # kind: (default limit, closed-form count, field name, lines(n, head, tail)), where each line is
-# head + the JSON texts of the item's list elements + tail.  Every field name sorts before "n",
-# and str() of an int, or of nested lists of ints, is its JSON with the default separators: each
-# line is json.dumps(item, sort_keys=True).  The lambdas look the enumerators up when called, so a
-# rebinding of this module's names (bench/spans.py traces that way) reaches them; it still rebinds
-# `parking_functions` and `distinguished_bases`, which listing no longer calls.
+# head + the JSON texts of the item's list elements + tail (`pf` yields blocks of such lines).
+# Every field name sorts before "n", and str() of an int, or of nested lists of ints, is its JSON
+# with the default separators: each line is json.dumps(item, sort_keys=True).  The lambdas look
+# the enumerators up when called, so a rebinding of this module's names (bench/spans.py traces
+# that way) reaches them; it still rebinds `parking_functions` and `distinguished_bases`, which
+# listing no longer calls.
 _ENUMERATE = {
     "pf": (8, lambda n: basis_count(n), "f", _pf_lines),
     "bases": (
@@ -390,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("render", help="render diagrams, arcs or tables")
-    p.add_argument("--format", required=True, choices=list(render.FORMATS))
     # An orbit graph is the `orbit` verb's output, which renders through the same RENDERERS.
+    # The formats are those of the other targets, so `dot`, which only orbit graphs have, is not one.
+    formats = dict.fromkeys(f for f, target in render.RENDERERS if target != "orbit")
+    p.add_argument("--format", required=True, choices=list(formats))
     p.add_argument("--target", required=True, choices=[t for t in render.TARGETS if t != "orbit"])
     io_flags(p)
     p.set_defaults(fn=cmd_render)

@@ -19,11 +19,13 @@ Read as transpositions, the merges of a maximal chain are the arcs of a basis, s
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
 multiply to it are a maximal chain.  So `maximal_chains` reads the chains off the
 bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`;
-`chain_to_basis` and `_chain_of_blocks` behind `nc from-chain` accept by that product
-and run no crossing scan.  A rejection takes the validated path, which names the
-fault: the chain replay or the partitions' checks.  `partition_chain` (a basis is its
-own chain) accepts through `validate_basis`'s own acceptance.  `verify` counts the
-chains from the definition, join by join.
+`NCChain.partitions`, `chain_to_basis` and `_chain_of_blocks` behind `nc from-chain`
+accept by that product and run no crossing scan, so the partitions of an accepted
+chain are stored without `NCPartition`'s checks.  A rejection takes the validated
+path, which names the fault: the chain replay or the partitions' checks.
+`partition_chain` (a basis is its own chain) accepts through `validate_basis`'s own
+acceptance.  `verify` counts the chains from the definition, join by join, and runs
+the crossing scan on every replayed partition.
 """
 from __future__ import annotations
 
@@ -108,23 +110,65 @@ class NCChain:
 
     @property
     def partitions(self) -> tuple[NCPartition, ...]:
-        """The n + 1 partitions replayed from the merges; ValueError unless they form a chain."""
-        owner = list(range(self.n + 1))  # point -> minimum of its block
-        blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
-        parts = [NCPartition(tuple(blocks.values()))]
-        for step, (label, top) in enumerate(self.merges, 1):
-            if not (
-                type(label) is type(top) is int and 0 <= label < top <= self.n
-                and (m := owner[label]) < (m_prime := owner[top])
-                and blocks[m_prime][-1] == top and _label(blocks[m], blocks[m_prime]) == label
-            ):
-                raise ValueError(f"step {step}: {(label, top)} is not the merge of a maximal chain")
-            b_prime = blocks.pop(m_prime)  # the join keeps the key m, so the order of minima holds
-            blocks[m] = tuple(sorted(blocks[m] + b_prime))
-            for x in b_prime:
-                owner[x] = m
-            parts.append(NCPartition(tuple(blocks.values())))  # raises if the join crosses
-        return tuple(parts)
+        """The n + 1 partitions replayed from the merges; ValueError unless they form a chain.
+
+        Merges accepted by their cycle product form a maximal chain, so their partitions are
+        stored without `NCPartition.__post_init__` and its crossing scan (`_require_chain`).
+        """
+        _require_chain(self.merges)
+        return _replay(self.merges, checked=False)
+
+
+_set_blocks = NCPartition.blocks.__set__
+
+
+def _stored(blocks: tuple[Block, ...]) -> NCPartition:
+    """The NCPartition of blocks already known to be canonical and non-crossing, unchecked."""
+    part = object.__new__(NCPartition)
+    _set_blocks(part, blocks)
+    return part
+
+
+def _replay(merges: tuple[tuple[int, int], ...], checked: bool) -> tuple[NCPartition, ...]:
+    """The n + 1 partitions of the merges, joined step by step from the singletons.
+
+    With `checked`, each merge is checked against the partition before it, and each partition
+    is built by `NCPartition`, which raises if the join crosses; the first bad step raises its
+    ValueError.  Without it, the merges must already be known to form a maximal chain.
+    """
+    n = len(merges)
+    owner = list(range(n + 1))  # point -> minimum of its block
+    blocks = {x: (x,) for x in owner}  # keyed by minimum, in order of minimum
+    make = NCPartition if checked else _stored
+    parts = [make(tuple(blocks.values()))]
+    for step, (label, top) in enumerate(merges, 1):
+        if checked and not (
+            type(label) is type(top) is int and 0 <= label < top <= n
+            and (m := owner[label]) < (m_prime := owner[top])
+            and blocks[m_prime][-1] == top and _label(blocks[m], blocks[m_prime]) == label
+        ):
+            raise ValueError(f"step {step}: {(label, top)} is not the merge of a maximal chain")
+        m, m_prime = owner[label], owner[top]
+        b_prime = blocks.pop(m_prime)  # the join keeps the key m, so the order of minima holds
+        blocks[m] = tuple(sorted(blocks[m] + b_prime))
+        for x in b_prime:
+            owner[x] = m
+        parts.append(make(tuple(blocks.values())))
+    return tuple(parts)
+
+
+def _require_chain(merges: tuple[tuple[int, int], ...]) -> None:
+    """Return when the merges, arcs (label, top) in range, multiply to (0 1 ... n) (`dbasis`).
+
+    Such merges form a maximal chain.  Any others take the checked replay, which raises the
+    ValueError that names the first bad step.
+    """
+    n = len(merges)
+    in_range = all(type(a) is type(b) is int and 0 <= a < b <= n for a, b in merges)
+    if in_range and _is_cycle_factorization(merges, n):
+        return
+    _replay(merges, checked=True)
+    raise RuntimeError(f"the product rejects {merges}, which the chain replay accepts")
 
 
 def chain_of_partitions(parts: Sequence[NCPartition]) -> NCChain:
@@ -229,11 +273,8 @@ def chain_to_basis(chain: NCChain) -> Basis:
     The merges form a maximal chain exactly when, as arcs, they multiply to (0 1 ... n) (`dbasis`).
     """
     n, merges = chain.n, chain.merges
-    in_range = all(type(a) is type(b) is int and 0 <= a < b <= n for a, b in merges)
-    if in_range and _is_cycle_factorization(merges, n):
-        return tuple(Root(label + 1, top, n) for label, top in merges)
-    chain.partitions  # raises the ValueError that names the first bad step
-    raise RuntimeError(f"the product rejects {merges}, which the chain replay accepts")
+    _require_chain(merges)
+    return tuple(Root(label + 1, top, n) for label, top in merges)
 
 
 def maximal_chains(n: int) -> Iterator[NCChain]:

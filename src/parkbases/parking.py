@@ -14,10 +14,19 @@ Conventions:
   is always bottom-up.)
 - The south-east corner of the row labelled k is the lattice point
   P_k = (f(k) - 1, p - n) where p is the 0-based bottom-up position of the row.
+- `parking_functions` lists each head f[:n-2] once, with its two-entry tails.  Park
+  the head's cars in order, each in the lowest empty spot at or above its value:
+  the head extends to a parking function exactly when every car parks.  Two
+  spots b < a stay empty, and the last two cars must take them, so the valid
+  tails (v, w) are exactly those with v, w <= a and min(v, w) <= b.  In counts,
+  b is the least k with #{i : f(i) <= k} <= k - 1, and a the least k with
+  #{i : f(i) <= k} <= k - 2.  `tests/test_parking.py` checks the rule against
+  brute force for n <= 7.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -134,57 +143,80 @@ def from_diagram(diagram: ParkingDiagram) -> tuple[int, ...]:
 def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All parking functions on n cars, in lexicographic order.
 
-    There are (n+1)^(n-1) of them: each head f[:n-1] of `_heads(n)` followed by each
-    last entry 1..top.
+    There are (n+1)^(n-1) of them: each head f[:n-2] of `_head_walk` followed by each
+    of its two-entry `_tails`.
 
     >>> list(parking_functions(2))
     [(1, 1), (1, 2), (2, 1)]
     """
-    for head, top in _heads(n):
-        for v in range(1, top + 1):
-            yield head + (v,)
-
-
-def _heads(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each head f[:n-1] of a parking function on n cars, lexicographically, with its `top`.
-
-    After a head, the valid last entries are exactly 1..top, where top is the least k
-    with fewer than k head values <= k (at most n, as the head holds n - 1 values).
-    The heads come from an odometer: each step raises the rightmost head entry that
-    can still grow by one and resets the entries after it, the last one included, to
-    1s.  With a tail of 1s, raising f[i] from v to v + 1 lowers only the count of
-    values <= v, so that one count decides the step, and it may stop once it reaches
-    v; it fails for every v >= n.
-
-    >>> list(_heads(3))[:3]
-    [((1, 1), 3), ((1, 2), 3), ((1, 3), 2)]
-    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    f = [1] * (n - 1)  # the head
+    if n == 1:  # no two-entry tail
+        yield (1,)
+        return
+    for head, b, a in _head_walk(n, (), [(v,) for v in range(n + 1)]):
+        yield from map(head.__add__, _tails(b, a))
+
+
+def _head_walk(n: int, start, pieces):
+    """Each head f[:n-2] of a parking function on n >= 2 cars, lexicographically, as (text, b, a).
+
+    The text is `start` + pieces[f[0]] + ... + pieces[f[n-3]] (tuples or strings), and b < a
+    are the two spots the head's cars leave empty, the rule of `_tails`.  The walk is an
+    odometer: each step raises the rightmost entry that can still grow and resets the ones
+    after it to 1.  An entry can grow while it is below the highest spot left empty by the
+    cars before it.  Those spots are kept per level as a bit mask, and a car takes the lowest
+    empty spot at or above its value.  Each level's text is made once, from the one before
+    it; a run of 1s is added in one repetition of pieces[1] when a level after it is needed,
+    so the first head costs O(n), not O(n^2).
+
+    >>> [(head, b, a) for head, b, a in _head_walk(3, "", "0123")]
+    [('1', 2, 3), ('2', 1, 3), ('3', 1, 2)]
+    """
+    m = n - 2
+    f = [1] * m
+    # free[j] has bit k set when the cars of f[:j] leave spot k (1 <= k <= n) empty.
+    free = [(1 << (n + 1)) - 2] * (m + 1)
+    for j in range(m):
+        free[j + 1] = free[j] & (free[j] - 1)  # a 1 takes the lowest empty spot
+    text = [start] * (m + 1)  # text[j] is the text of f[:j] at each level j in `known`
+    known = [0]  # increasing; between two of its levels, f holds 1s
     while True:
-        top = 1
-        for x in sorted(f):  # the k-th smallest head value is <= k for every k < top
-            if x > top:
-                break
-            top += 1
-        yield tuple(f), top
-        i = n - 2
-        while i >= 0:
-            v = f[i]
-            if v < n:
-                seen = n - 1 - i  # the tail's 1s
-                for x in f[:i]:
-                    if seen >= v:
-                        break
-                    seen += x <= v
-                if seen >= v:
-                    break
-            i -= 1
-        if i < 0:
+        if (i := known[-1]) < m:
+            text[m] = text[i] + pieces[1] * (m - i)
+            known.append(m)
+        spots = free[m]
+        yield text[m], (spots & -spots).bit_length() - 1, spots.bit_length() - 1
+        j = m - 1
+        while j >= 0 and f[j] >= free[j].bit_length() - 1:
+            f[j] = 1
+            j -= 1
+        if j < 0:
             return
-        f[i] += 1
-        f[i + 1 :] = [1] * (n - 2 - i)
+        while known[-1] > j:
+            known.pop()
+        if (i := known[-1]) < j:
+            text[j] = text[i] + pieces[1] * (j - i)
+            known.append(j)
+        v = f[j] = f[j] + 1
+        above = free[j] >> v << v  # the empty spots >= v; the car takes the lowest
+        free[j + 1] = spots = free[j] ^ (above & -above)
+        text[j + 1] = text[j] + pieces[v]
+        known.append(j + 1)
+        for i in range(j + 1, m):
+            free[i + 1] = spots = spots & (spots - 1)
+
+
+def _tails(b: int, a: int) -> Iterator[tuple[int, int]]:
+    """The valid last two entries (v, w) after a head leaving the spots b < a empty, lexicographically.
+
+    They are the pairs with v, w <= a and min(v, w) <= b (module docstring).
+
+    >>> list(_tails(1, 3))
+    [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]
+    """
+    low, high = range(1, b + 1), range(b + 1, a + 1)
+    return itertools.chain(itertools.product(low, range(1, a + 1)), itertools.product(high, low))
 
 
 def nondecreasing_parking_functions(n: int) -> Iterator[tuple[int, ...]]:

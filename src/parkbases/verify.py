@@ -346,7 +346,9 @@ def check_chain_counts(n: int) -> None:
     shifted = set()
     for chain in chains:
         labels = noncrossing.stanley_labels(chain)
-        parts = chain.partitions  # replayed from the merges, each partition validated
+        # Replayed from the merges, which the library accepts by their cycle product; rebuilding
+        # each partition runs the crossing scan that the replay skips.
+        parts = [noncrossing.NCPartition(p.blocks) for p in chain.partitions]
         for step, (lower, upper) in enumerate(zip(parts, parts[1:])):
             # The label rule read literally: the largest i in B below every element of B'.
             b, b_prime = noncrossing.merge_of(lower, upper)

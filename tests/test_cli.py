@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -143,9 +144,15 @@ def test_enumerate_streams_lines(monkeypatch, capsys):
     assert [tuple(obj["f"]) for obj in lines] == [(1, 1), (1, 2), (2, 1)]
 
 
+def _parking_product(n):
+    """The parking functions on n cars, without the library: the sorted-value test on the product."""
+    product = itertools.product(range(1, n + 1), repeat=n)
+    return [f for f in product if all(x <= k for k, x in enumerate(sorted(f), 1))]
+
+
 # kind: (largest n checked, the JSON items of one n, built without the CLI)
 ENUMERATE_ITEMS = {
-    "pf": (5, lambda n: [{"f": list(f)} for f in parking_functions(n)]),
+    "pf": (6, lambda n: [{"f": list(f)} for f in _parking_product(n)]),
     "bases": (5, lambda n: [{"basis": [[r.lo, r.hi] for r in b]} for b in distinguished_bases(n)]),
     "nondecreasing": (7, lambda n: [{"f": list(f)} for f in nondecreasing_parking_functions(n)]),
     "chains": (4, lambda n: [{"chain": [[list(b) for b in p.blocks] for p in c.partitions]}
@@ -242,12 +249,20 @@ def test_render_table_ascii(monkeypatch, capsys):
 
 def test_render_unsupported_pair(monkeypatch, capsys):
     code, _, err = run_cli(
-        ["render", "--format", "dot", "--target", "arcs"],
+        ["render", "--format", "svg", "--target", "table"],
         '{"n":2,"basis":[[1,1],[2,2]]}',
         monkeypatch,
         capsys,
     )
     assert code == 1 and err.startswith("E_RENDER:")
+
+
+def test_render_formats_are_those_of_its_targets(monkeypatch, capsys):
+    # Only orbit graphs render in DOT, and they are the `orbit` verb's output.
+    code, out, err = run_cli(["render", "--format", "dot", "--target", "arcs"], '{"n":2,"basis":[[1,1],[2,2]]}',
+                             monkeypatch, capsys)
+    message = "E_PARSE: argument --format: invalid choice: 'dot' (choose from 'ascii', 'svg', 'json')\n"
+    assert (code, out, err) == (1, "", message)
 
 
 def test_quiver_table(monkeypatch, capsys):
@@ -454,14 +469,17 @@ def test_nc_from_chain_rejects_n_zero(monkeypatch, capsys):
 
 
 class _WriteOnly:
-    """A stdout with nothing but `write`, keeping the size and digest of what it gets."""
+    """A stdout with nothing but `write`, keeping the size and digest of what it gets, its number
+    of writes and the largest one."""
 
     def __init__(self):
-        self.size = 0
+        self.size = self.writes = self.largest = 0
         self.sha = hashlib.sha256()
 
     def write(self, text):
         self.size += len(text)
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
         self.sha.update(text.encode())
         return len(text)
 
@@ -501,6 +519,24 @@ def test_large_writes_match_their_golden_bytes(argv, size, sha, monkeypatch):
     assert (sink.size, sink.sha.hexdigest()) == (size, sha)
 
 
+# Sizes and sha256 digests at n = 7, as written when pf lines came one per head f[:n-1] and chain
+# partitions were each checked for crossings.
+ENUMERATE_7_GOLDEN = [
+    (["enumerate", "7", "pf"], 9699328, "81a8422f348210e474028769ba5a4897ab6a7ab5b2109418cdb2fbf6ca70537f"),
+    (["enumerate", "7", "chains"], 78643200, "ed6493b3a520dbd2996f5a1b8dd93831bf9e3f9334f49b3e66817b3c15bd8c91"),
+]
+
+
+@pytest.mark.parametrize("argv,size,sha", ENUMERATE_7_GOLDEN)
+def test_enumerate_7_streams_its_golden_bytes(argv, size, sha, monkeypatch):
+    # A pf item is a block of lines now, but the output still comes in writes of at most 1 MiB.
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    main(argv)
+    assert (sink.size, sink.sha.hexdigest()) == (size, sha)
+    assert sink.writes > 1 and sink.largest <= 2**20
+
+
 @pytest.mark.parametrize("argv,size,sha", ENUMERATE_GOLDEN)
 def test_enumerate_out_file_matches_stdout(argv, size, sha, tmp_path, monkeypatch, capsys):
     outfile = tmp_path / "out.ndjson"
@@ -534,7 +570,8 @@ def test_orbit_json_is_the_render_json(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_render_leaves_orbit_graphs_to_the_orbit_verb(fmt, monkeypatch, capsys):
-    code, out, err = run_cli(["render", "--format", fmt, "--target", "orbit"], '{"n":3}', monkeypatch, capsys)
+    # --target comes first, so its refusal is the one reported even where --format dot is refused too.
+    code, out, err = run_cli(["render", "--target", "orbit", "--format", fmt], '{"n":3}', monkeypatch, capsys)
     assert _single_error(code, out, err, "E_PARSE: argument --target: invalid choice: 'orbit'")
 
 
@@ -579,10 +616,11 @@ def test_an_integer_of_too_many_digits_is_one_short_error_line(argv, what, limit
     small = [arg.format(2) for arg in argv]
     _, expected, _ = run_cli(small, "", monkeypatch, capsys)
     # At the bound, n and --limit are read as int() reads them, the sign not counted: an E_LIMIT
-    # line that names n, or the usual answer.
+    # line that names n by its digit count, or the usual answer.
     n = "9" * _DIGITS
     code, out, err = run_cli([arg.format("+" + n) for arg in argv], "", monkeypatch, capsys)
-    assert (code, out, err) == (1, "", f"E_LIMIT: n={n} exceeds the {what} limit {limit}; raise it with --limit\n")
+    message = f"E_LIMIT: an n of {_DIGITS} digits exceeds the {what} limit {limit}; raise it with --limit\n"
+    assert (code, out, err) == (1, "", message) and len(err) < 200
     code, out, err = run_cli([*small, "--limit", "+1" + "0" * (_DIGITS - 1)], "", monkeypatch, capsys)
     assert (code, out, err) == (0, expected, "")
     # One digit more, leading zeros counted, is one E_PARSE line that names the digit count, not the digits.

@@ -149,16 +149,34 @@ def test_chain_product_rejection_is_never_overruled(monkeypatch):
         chain_to_basis(NCChain(((0, 1), (1, 2))))  # the replay accepts it
 
 
+def _long_bases():
+    """Bases with long single blocks, where joining arc by arc is quadratic."""
+    n = 3200
+    return [reconstruct(f) for f in ((1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
+
+
 def test_a_basis_is_its_own_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("partition_chain calls validate_basis or partitions a basis")
 
     monkeypatch.setattr(dbasis, "validate_basis", refuse)
     monkeypatch.setattr(noncrossing, "NCPartition", refuse)
-    n = 3200  # long single blocks, where joining arc by arc is quadratic
-    long_bases = [reconstruct(f) for f in ((1,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
-    for basis in itertools.chain(*map(all_bases, range(1, 6)), long_bases):
+    for basis in itertools.chain(*map(all_bases, range(1, 6)), _long_bases()):
         assert partition_chain(basis).merges == tuple((r.lo - 1, r.hi) for r in basis)
+
+
+def test_accepted_chains_replay_without_the_crossing_scan(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an accepted chain's partition is checked again")
+
+    monkeypatch.setattr(NCPartition, "__post_init__", refuse)
+    for chain in itertools.chain(*map(maximal_chains, range(1, 6))):
+        assert chain_of_partitions(chain.partitions) == chain  # the partitions' own merges
+    for basis in _long_bases():
+        n = len(basis)
+        parts = partition_chain(basis).partitions
+        assert len(parts) == n + 1 and parts[-1].blocks == (tuple(range(n + 1)),)
+        del parts  # about 80 MiB each at n = 3200
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

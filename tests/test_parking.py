@@ -7,7 +7,8 @@ from parkbases.dbasis import distinguished_bases
 from parkbases.noncrossing import maximal_chains
 from parkbases.parking import (
     ParkingDiagram,
-    _heads,
+    _head_walk,
+    _tails,
     catalan,
     from_diagram,
     is_parking,
@@ -47,12 +48,32 @@ def test_parking_functions_are_the_sorted_parking_filter(n):
     assert list(parking_functions(n)) == sorted(filter(is_parking, product))
 
 
+def _empty_spots(head, n):
+    """(b, a) by the count rule of the module docstring, read literally."""
+    def least(slack):
+        return next((k for k in range(1, n + 1) if sum(x <= k for x in head) <= k - slack), n)
+    return least(1), least(2)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_heads_expand_to_the_parking_functions(n):
-    # `cli` writes its pf lines from the heads; top is the largest valid last entry.
-    expanded = [head + (v,) for head, top in _heads(n) for v in range(1, top + 1)]
-    assert expanded == list(parking_functions(n))
-    assert not any(top < n and is_parking(head + (top + 1,)) for head, top in _heads(n))
+    # Brute force: the product filtered by the sorted-value test, grouped by head f[:n-2].
+    product = itertools.product(range(1, n + 1), repeat=n)
+    pfs = [f for f in product if all(x <= k for k, x in enumerate(sorted(f), 1))]
+    assert list(parking_functions(n)) == pfs
+    if n == 1:  # no two-entry tail: parking_functions lists (1,) itself
+        return
+    tails = {}
+    for f in pfs:
+        tails.setdefault(f[:-2], []).append(f[-2:])
+    walk = list(_head_walk(n, (), [(v,) for v in range(n + 1)]))
+    assert [head for head, _, _ in walk] == list(tails)  # every extendable head once, in order
+    for head, b, a in walk:
+        assert (b, a) == _empty_spots(head, n)
+        assert list(_tails(b, a)) == tails[head]  # v, w <= a and min(v, w) <= b, lexicographically
+    # `cli` walks with texts: each level's text is start + the pieces of the head's entries.
+    texts = _head_walk(n, "<", [f"{v}," for v in range(n + 1)])
+    assert list(texts) == [("<" + "".join(f"{v}," for v in head), b, a) for head, b, a in walk]
 
 
 @pytest.mark.parametrize("enumerate_,first", [(parking_functions, 1), (nondecreasing_parking_functions, 1)])
