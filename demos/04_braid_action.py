@@ -56,4 +56,4 @@ print(f"  alpha_1 moves f to {moved} with young diagram",
       young_of_diagram(to_diagram(moved)))
 
 print("\nthe rank-2 orbit graph in DOT:")
-print(orbit_dot(orbit_graph(2)))
+print("".join(orbit_dot(orbit_graph(2))))

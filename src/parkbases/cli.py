@@ -5,9 +5,12 @@ Verbs: convert, enumerate, braid, orbit, render, quiver, nc, verify.
 JSON travels on stdin/stdout by default with the fixed field names n, f, basis,
 word, chain, hom, ext.  --out redirects any verb's output to a file, and --in
 redirects the input of the verbs that read a payload (convert, braid apply,
-render, quiver table, nc) from one.  Output is deterministic for fixed input
-and flags.  Every error exits 1 after printing a single line "CODE: human text"
-on stderr; arguments argparse rejects are E_PARSE.
+render, quiver table, nc) from one.  Every verb writes through `_emit`: a JSON
+answer is one line, dumped from the library's own tuples, and the lines of
+`enumerate` and of `orbit`'s DOT are written in chunks as they are made.
+Output is deterministic for fixed input and flags.  Every error exits 1 after
+printing a single line "CODE: human text" on stderr; arguments argparse rejects
+are E_PARSE.
 """
 from __future__ import annotations
 
@@ -65,6 +68,7 @@ _CHUNK = 64
 def _emit(args, out) -> None:
     """Write a dict as one JSON line, a string as it is, or an iterable of texts in chunks.
 
+    The dict's values may hold the library's tuples, which JSON writes as arrays.
     Each chunk is the join of the next `_CHUNK` texts, written as they are generated.  A text
     is one line, or a block of at most `_CHUNK` lines (`_pf_lines`), so a write holds at most
     `_CHUNK`^2 lines.
@@ -116,17 +120,17 @@ def _check_limit(args, what: str, default: int) -> None:
         raise CliError("E_PARSE", "--limit must be >= 1")
     limit = default if args.limit is None else args.limit
     if args.n > limit:
-        digits = len(str(args.n))
-        name = f"n={args.n}" if digits <= _ECHO_DIGITS else f"an n of {digits} digits"
-        raise CliError("E_LIMIT", f"{name} exceeds the {what} limit {limit}; raise it with --limit")
+        raise CliError("E_LIMIT", f"{_named(args.n)} exceeds the {what} limit {limit}; raise it with --limit")
 
 
-def _pairs(basis: tuple[Root, ...]) -> list[list[int]]:
-    return [list(r.as_pair()) for r in basis]
+def _named(n: int) -> str:
+    """n as an E_LIMIT line names it: "n=N", or past `_ECHO_DIGITS` digits its digit count."""
+    digits = len(str(n))
+    return f"n={n}" if digits <= _ECHO_DIGITS else f"an n of {digits} digits"
 
 
-def _blocks(chain: noncrossing.NCChain) -> list[list[list[int]]]:
-    return [[list(b) for b in p.blocks] for p in chain.partitions]
+def _pairs(basis: tuple[Root, ...]) -> list[tuple[int, int]]:
+    return [r.as_pair() for r in basis]
 
 
 def _is_int_list(value) -> bool:
@@ -190,7 +194,7 @@ def cmd_convert(args) -> None:
         basis = _payload_basis(payload)
         f = initial_vector(basis)
         verified = reconstruct(f) == basis
-        _emit(args, {"n": len(f), "f": list(f), "verified": verified})
+        _emit(args, {"n": len(f), "f": f, "verified": verified})
 
 
 def _joined(texts_of):
@@ -224,11 +228,10 @@ def _pf_lines(n: int, head: str, tail: str):
 
 # kind: (default limit, closed-form count, field name, lines(n, head, tail)), where each line is
 # head + the JSON texts of the item's list elements + tail (`pf` yields blocks of such lines).
-# Every field name sorts before "n", and str() of an int, or of nested lists of ints, is its JSON
-# with the default separators: each line is json.dumps(item, sort_keys=True).  The lambdas look
-# the enumerators up when called, so a rebinding of this module's names (bench/spans.py traces
-# that way) reaches them; it still rebinds `parking_functions` and `distinguished_bases`, which
-# listing no longer calls.
+# Every field name sorts before "n", and the texts are JSON with the default separators: each
+# line is json.dumps(item, sort_keys=True).  The lambdas look the enumerators up when called, so a
+# rebinding of this module's names (bench/spans.py traces that way) reaches them; it still
+# rebinds `parking_functions` and `distinguished_bases`, which listing no longer calls.
 _ENUMERATE = {
     "pf": (8, lambda n: basis_count(n), "f", _pf_lines),
     "bases": (
@@ -239,9 +242,10 @@ _ENUMERATE = {
         12, lambda n: catalan(n), "f",
         _joined(lambda n: (map(str, f) for f in nondecreasing_parking_functions(n))),
     ),
-    "chains": (
+    "chains": (  # one text per chain: the JSON of its partitions without the outer brackets
         8, lambda n: basis_count(n), "chain",
-        _joined(lambda n: (map(str, _blocks(c)) for c in noncrossing.maximal_chains(n))),
+        _joined(lambda n: ((json.dumps([p.blocks for p in c.partitions])[1:-1],)
+                           for c in noncrossing.maximal_chains(n))),
     ),
 }
 
@@ -253,12 +257,17 @@ def cmd_enumerate(args) -> None:
         raise CliError("E_PARSE", "n must be >= 1")
     n = args.n
     if args.count:
-        value = count(n)
-        try:  # int-to-str conversion refuses a count of more than sys.get_int_max_str_digits() digits
-            line = json.dumps({"n": n, "kind": args.kind, "count": value}, sort_keys=True) + "\n"
+        # int-to-str conversion refuses a count of more than `digits` digits (0: no bound).  Each
+        # count is at least 2^(n-1) (catalan(n + 1) >= 2 catalan(n)), which has over 3(n-1)/10 digits
+        # as log10(2) > 3/10: from n = 14,335 at 4,300 digits, that refuses the count uncomputed.
+        digits = sys.get_int_max_str_digits()
+        try:
+            if digits and 3 * (n - 1) // 10 >= digits:
+                raise ValueError
+            line = json.dumps({"n": n, "kind": args.kind, "count": count(n)}, sort_keys=True) + "\n"
         except ValueError as exc:
-            digits = sys.get_int_max_str_digits()
-            raise CliError("E_LIMIT", f"the {args.kind} count at n={n} has more than {digits} digits") from exc
+            name = _named(n)
+            raise CliError("E_LIMIT", f"the {args.kind} count at {name} has more than {digits} digits") from exc
         _emit(args, line)
         return
     try:  # before their first item, the bases and chains enumerators recurse to depth n - 5
@@ -287,9 +296,9 @@ def cmd_braid(args) -> None:
         args,
         {
             "n": n,
-            "word": list(word),
+            "word": word,
             "basis": _pairs(result),
-            "f": list(initial_vector(result)),
+            "f": initial_vector(result),
             "orbit_lengths": orbit_lengths,
         },
     )
@@ -305,7 +314,7 @@ def cmd_orbit(args) -> None:
     if args.format == "dot":
         _emit(args, render.orbit_dot(graph, include_beta=args.include_beta))
     else:
-        _emit(args, render.render(render.RenderSpec("json", "orbit"), graph))
+        _emit(args, {"n": graph.n, "nodes": graph.nodes, "edges": list(graph.edges())})
 
 
 def cmd_render(args) -> None:
@@ -326,7 +335,7 @@ def cmd_render(args) -> None:
 def cmd_quiver(args) -> None:
     basis = _payload_basis(_read_payload(args))
     hom, ext = hom_ext_table(modules_of(basis))
-    _emit(args, {"n": len(basis), "hom": [list(r) for r in hom], "ext": [list(r) for r in ext]})
+    _emit(args, {"n": len(basis), "hom": hom, "ext": ext})
 
 
 def cmd_nc(args) -> None:
@@ -334,8 +343,8 @@ def cmd_nc(args) -> None:
     if args.action == "to-chain":
         basis = _payload_basis(payload)
         chain = noncrossing.partition_chain(basis)
-        labels = list(noncrossing.stanley_labels(chain))
-        _emit(args, {"n": chain.n, "chain": _blocks(chain), "labels": labels})
+        blocks = [p.blocks for p in chain.partitions]
+        _emit(args, {"n": chain.n, "chain": blocks, "labels": noncrossing.stanley_labels(chain)})
     else:
         chain = _payload_chain(payload)
         basis = noncrossing.chain_to_basis(chain)
@@ -413,11 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("render", help="render diagrams, arcs or tables")
-    # An orbit graph is the `orbit` verb's output, which renders through the same RENDERERS.
-    # The formats are those of the other targets, so `dot`, which only orbit graphs have, is not one.
-    formats = dict.fromkeys(f for f, target in render.RENDERERS if target != "orbit")
-    p.add_argument("--format", required=True, choices=list(formats))
-    p.add_argument("--target", required=True, choices=[t for t in render.TARGETS if t != "orbit"])
+    p.add_argument("--format", required=True, choices=list(dict.fromkeys(f for f, _ in render.RENDERERS)))
+    p.add_argument("--target", required=True, choices=list(dict.fromkeys(t for _, t in render.RENDERERS)))
     io_flags(p)
     p.set_defaults(fn=cmd_render)
 

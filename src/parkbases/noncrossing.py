@@ -18,14 +18,11 @@ parking function shifted down by one.
 Read as transpositions, the merges of a maximal chain are the arcs of a basis, so
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
 multiply to it are a maximal chain.  So `maximal_chains` reads the chains off the
-bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`;
-`NCChain.partitions`, `chain_to_basis` and `_chain_of_blocks` behind `nc from-chain`
-accept by that product and run no crossing scan, so the partitions of an accepted
-chain are stored without `NCPartition`'s checks.  A rejection takes the validated
-path, which names the fault: the chain replay or the partitions' checks.
-`partition_chain` (a basis is its own chain) accepts through `validate_basis`'s own
-acceptance.  `verify` counts the chains from the definition, join by join, and runs
-the crossing scan on every replayed partition.
+bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`, and
+an `NCChain` checks its merges once, where it is made, by that product: nothing that
+reads a chain checks it again, and its `partitions` are replayed without a crossing scan.
+`verify` counts the chains from the definition, join by join, and runs the crossing
+scan on every replayed partition.
 """
 from __future__ import annotations
 
@@ -100,9 +97,22 @@ def singletons(n: int) -> NCPartition:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class NCChain:
-    """A maximal chain on {0, ..., n} as its merges (label, max B'); see the module docstring."""
+    """A maximal chain on {0, ..., n} as its merges (label, max B'); see the module docstring.
+
+    ValueError unless the merges form a maximal chain.  Merges in range whose arcs multiply
+    to (0 1 ... n) (`dbasis`) are one; any others take the checked replay, which raises the
+    ValueError that names the first bad step.
+    """
 
     merges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        merges, n = self.merges, len(self.merges)
+        in_range = all(type(a) is type(b) is int and 0 <= a < b <= n for a, b in merges)
+        if in_range and _is_cycle_factorization(merges, n):
+            return
+        _replay(merges, checked=True)
+        raise RuntimeError(f"the product rejects {merges}, which the chain replay accepts")
 
     @property
     def n(self) -> int:
@@ -110,12 +120,7 @@ class NCChain:
 
     @property
     def partitions(self) -> tuple[NCPartition, ...]:
-        """The n + 1 partitions replayed from the merges; ValueError unless they form a chain.
-
-        Merges accepted by their cycle product form a maximal chain, so their partitions are
-        stored without `NCPartition.__post_init__` and its crossing scan (`_require_chain`).
-        """
-        _require_chain(self.merges)
+        """The n + 1 partitions replayed from the merges, stored without `NCPartition`'s checks."""
         return _replay(self.merges, checked=False)
 
 
@@ -157,20 +162,6 @@ def _replay(merges: tuple[tuple[int, int], ...], checked: bool) -> tuple[NCParti
     return tuple(parts)
 
 
-def _require_chain(merges: tuple[tuple[int, int], ...]) -> None:
-    """Return when the merges, arcs (label, top) in range, multiply to (0 1 ... n) (`dbasis`).
-
-    Such merges form a maximal chain.  Any others take the checked replay, which raises the
-    ValueError that names the first bad step.
-    """
-    n = len(merges)
-    in_range = all(type(a) is type(b) is int and 0 <= a < b <= n for a, b in merges)
-    if in_range and _is_cycle_factorization(merges, n):
-        return
-    _replay(merges, checked=True)
-    raise RuntimeError(f"the product rejects {merges}, which the chain replay accepts")
-
-
 def chain_of_partitions(parts: Sequence[NCPartition]) -> NCChain:
     """The chain through the given partitions; ValueError unless it is a maximal chain."""
     return NCChain(_merges([p.blocks for p in parts]))
@@ -206,24 +197,17 @@ def _merges(block_lists: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, 
 
 
 def _chain_of_blocks(raw: Sequence[Sequence[Sequence[int]]]) -> NCChain:
-    """`chain_of_partitions([partition(p) for p in raw])`, accepted by the merges' cycle product.
+    """`chain_of_partitions([partition(p) for p in raw])`, with no partition's crossing scan.
 
     Every point must be a plain int; `cli._payload_chain`, the only caller, rejects any
-    other point before the call.  Each partition is read in canonical form by `_merges`.
-    Its steps keep a set partition, and the merges form a maximal non-crossing chain
-    exactly when they multiply to (0 1 ... n), as in `chain_to_basis`.  So no partition
-    needs its crossing scan.  Anything else takes the validated path, which raises the
-    ValueError that names the fault.
+    other point before the call.  Each partition is read in canonical form by `_merges`,
+    and `NCChain` accepts the merges of a maximal chain by their cycle product.  Anything
+    else takes the validated path, which raises the ValueError that names the fault.
     """
     try:
-        merges = _merges(raw)
+        return NCChain(_merges(raw))
     except ValueError:
-        pass
-    else:
-        if _is_cycle_factorization(merges, len(merges)):
-            return NCChain(merges)
-    chain = chain_of_partitions([partition(blocks) for blocks in raw])
-    raise RuntimeError(f"the product rejects {chain.merges}, which the validated path accepts")
+        return chain_of_partitions([partition(blocks) for blocks in raw])
 
 
 def merge_of(lower: NCPartition, upper: NCPartition) -> tuple[Block, Block]:
@@ -268,13 +252,9 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
-    """The roots [label + 1, top] of the merges (inverse of partition_chain).
-
-    The merges form a maximal chain exactly when, as arcs, they multiply to (0 1 ... n) (`dbasis`).
-    """
-    n, merges = chain.n, chain.merges
-    _require_chain(merges)
-    return tuple(Root(label + 1, top, n) for label, top in merges)
+    """The roots [label + 1, top] of the merges (inverse of partition_chain)."""
+    n = chain.n
+    return tuple(Root(label + 1, top, n) for label, top in chain.merges)
 
 
 def maximal_chains(n: int) -> Iterator[NCChain]:

@@ -1,6 +1,8 @@
 """
-Deterministic text renderings: ASCII staircases and arc rows, SVG pictures,
-DOT orbit graphs.  Output is byte-identical for identical input, so all of it
+Deterministic text renderings: ASCII staircases and arc rows, SVG pictures and
+JSON values, dispatched by `render` on a (format, target) pair of `RENDERERS`,
+and the DOT lines of an orbit graph (`orbit_dot`), which the `orbit` verb writes
+as they are made.  Output is byte-identical for identical input, so all of it
 is golden-file testable.  SVG uses semicircular arcs on integer grid
 endpoints with labels at the apex; tests compare structure, not pixels.
 """
@@ -8,14 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from typing import Iterator
 
 from .braid import OrbitGraph
 from .dbasis import ArcDiagram
 from .parking import ParkingDiagram
 from .quiver import Matrix
-
-FORMATS = ("ascii", "svg", "dot", "json")
-TARGETS = ("arcs", "diagram", "orbit", "table")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -107,23 +107,21 @@ def diagram_svg(diagram: ParkingDiagram) -> str:
     return "".join(parts)
 
 
-def orbit_dot(graph: OrbitGraph, include_beta: bool = False) -> str:
-    """The orbit graph in DOT, nodes named by their parking function.
+def orbit_dot(graph: OrbitGraph, include_beta: bool = False) -> Iterator[str]:
+    """The lines of the orbit graph in DOT, nodes named by their parking function.
 
     Alpha edges are labelled a1, a2, ...; with include_beta the reverse edges
     are emitted too, labelled b1, b2, ....
     """
-
     name = {f: '"' + ",".join(map(str, f)) + '"' for f in graph.nodes}  # edges join nodes only
-    lines = ["digraph orbit {"]
+    yield "digraph orbit {\n"
     for f in graph.nodes:
-        lines.append(f"  {name[f]};")
+        yield f"  {name[f]};\n"
     for f, k, g in graph.edges():
-        lines.append(f'  {name[f]} -> {name[g]} [label="a{k}"];')
+        yield f'  {name[f]} -> {name[g]} [label="a{k}"];\n'
         if include_beta:
-            lines.append(f'  {name[g]} -> {name[f]} [label="b{k}"];')
-    lines.append("}\n")
-    return "\n".join(lines)  # one copy of the text at its peak, not two
+            yield f'  {name[g]} -> {name[f]} [label="b{k}"];\n'
+    yield "}\n"
 
 
 # (format, target) -> renderer; a json renderer gives the value `render` writes as one line.
@@ -133,12 +131,9 @@ RENDERERS = {
     ("ascii", "table"): lambda table: table_ascii(*table),
     ("svg", "arcs"): arcs_svg,
     ("svg", "diagram"): diagram_svg,
-    ("dot", "orbit"): lambda graph: orbit_dot(graph),  # late-bound: bench/spans.py rebinds it
-    ("json", "arcs"): lambda a: {"arcs": [list(arc) for arc in a.arcs], "n": a.rank},
-    ("json", "diagram"): lambda d: {"labels": list(d.labels), "lengths": list(d.lengths), "n": d.n},
-    ("json", "orbit"): lambda g: {"n": g.n, "nodes": [list(f) for f in g.nodes],
-                                  "edges": [[list(f), k, list(h)] for f, k, h in g.edges()]},
-    ("json", "table"): lambda t: {"hom": [list(r) for r in t[0]], "ext": [list(r) for r in t[1]]},
+    ("json", "arcs"): lambda a: {"arcs": a.arcs, "n": a.rank},
+    ("json", "diagram"): lambda d: {"labels": d.labels, "lengths": d.lengths, "n": d.n},
+    ("json", "table"): lambda t: {"hom": t[0], "ext": t[1]},
 }
 
 

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -258,10 +259,13 @@ def test_render_unsupported_pair(monkeypatch, capsys):
 
 
 def test_render_formats_are_those_of_its_targets(monkeypatch, capsys):
-    # Only orbit graphs render in DOT, and they are the `orbit` verb's output.
-    code, out, err = run_cli(["render", "--format", "dot", "--target", "arcs"], '{"n":2,"basis":[[1,1],[2,2]]}',
-                             monkeypatch, capsys)
+    # Only orbit graphs are drawn in DOT, and they are the `orbit` verb's output.
+    payload = '{"n":2,"basis":[[1,1],[2,2]]}'
+    code, out, err = run_cli(["render", "--format", "dot", "--target", "arcs"], payload, monkeypatch, capsys)
     message = "E_PARSE: argument --format: invalid choice: 'dot' (choose from 'ascii', 'svg', 'json')\n"
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run_cli(["render", "--format", "json", "--target", "orbit"], payload, monkeypatch, capsys)
+    message = "E_PARSE: argument --target: invalid choice: 'orbit' (choose from 'arcs', 'diagram', 'table')\n"
     assert (code, out, err) == (1, "", message)
 
 
@@ -563,9 +567,21 @@ def test_enumerate_memory_stays_flat(monkeypatch):
         assert peak < 2**20, kind
 
 
-def test_orbit_json_is_the_render_json(monkeypatch, capsys):
-    _, orbit_out, _ = run_cli(["orbit", "3", "--format", "json"], "", monkeypatch, capsys)
-    assert orbit_out and orbit_out == render.render(render.RenderSpec("json", "orbit"), orbit_graph(3))
+def test_orbit_json_is_the_graph_as_json(monkeypatch, capsys):
+    graph = orbit_graph(3)
+    edges = [[list(f), k, list(graph.alpha[f, k])] for f in graph.nodes for k in (1, 2)]
+    expected = json.dumps({"n": 3, "nodes": [list(f) for f in graph.nodes], "edges": edges}, sort_keys=True)
+    assert run_cli(["orbit", "3", "--format", "json"], "", monkeypatch, capsys) == (0, expected + "\n", "")
+
+
+def test_orbit_6_streams_its_golden_bytes(monkeypatch):
+    # The DOT lines are written as they are made, not joined into one text of 4.2 MB first.
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    main(["orbit", "6"])
+    assert (sink.size, sink.sha.hexdigest()) == (
+        4235382, "212ff53eb54462428f4c14abfdb0da7310d217308065549f152a84a0f1300036")
+    assert sink.writes > 1 and sink.largest <= 2**20
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])
@@ -580,7 +596,7 @@ def test_include_beta_is_refused_outside_dot(monkeypatch, capsys):
     code, out, err = run_cli(["orbit", "3", "--format", "json", "--include-beta"], "", monkeypatch, capsys)
     assert (code, out, err) == (1, "", "E_PARSE: --include-beta needs --format dot\n")
     code, out, err = run_cli(["orbit", "3", "--include-beta"], "", monkeypatch, capsys)
-    assert code == 0 and err == "" and out == render.orbit_dot(orbit_graph(3), include_beta=True)
+    assert code == 0 and err == "" and out == "".join(render.orbit_dot(orbit_graph(3), include_beta=True))
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "2", "pf"], ["orbit", "2"], ["verify", "2"]])
@@ -602,6 +618,21 @@ def test_a_count_past_the_int_text_limit_is_one_error_line(kind, n, tmp_path, mo
     code, out, err = run_cli(argv, "", monkeypatch, capsys)
     assert (code, out, err) == (1, "", f"E_LIMIT: the {kind} count at n={n} has more than 4300 digits\n")
     assert not outfile.exists()  # refused before anything is written
+
+
+@pytest.mark.parametrize("kind", ["pf", "nondecreasing"])
+def test_a_count_far_past_the_int_text_limit_is_refused_uncounted(kind, monkeypatch, capsys):
+    # A lower bound on the count's digits settles it: the count itself is never computed.
+    def refuse(n):
+        raise AssertionError("the count is computed")
+
+    monkeypatch.setattr("parkbases.cli.basis_count", refuse)
+    monkeypatch.setattr("parkbases.cli.catalan", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(["enumerate", "100000000", kind, "--count", "--limit", "100000000"], "",
+                             monkeypatch, capsys)
+    message = f"E_LIMIT: the {kind} count at n=100000000 has more than 4300 digits\n"
+    assert (code, out, err) == (1, "", message) and time.perf_counter() - start < 1
 
 
 _DIGITS = sys.get_int_max_str_digits()  # int() reads at most this many digits, leading zeros included
@@ -721,7 +752,8 @@ _SLOTS = {  # per verb, the argument units that may fill each slot in turn ([] l
     "orbit": [
         _N, [["--format", "dot"], ["--format", "json"], []], [["--include-beta"], []], [*_LIMITS, []],
     ],
-    "render": [[["--format", f] for f in render.FORMATS], [["--target", t] for t in render.TARGETS]],
+    "render": [[["--format", f] for f in ("ascii", "svg", "dot", "json")],  # dot and orbit are refused
+               [["--target", t] for t in ("arcs", "diagram", "orbit", "table")]],
     "quiver": [_units("table")],
     "nc": [_units("to-chain", "from-chain")],
     "verify": [_N, _units("all", *verify.SUITES), [["--inject-fault"], []], [*_LIMITS, []]],

@@ -125,7 +125,8 @@ def test_partition_chain_builds_no_arc_diagram(monkeypatch):
 
 
 def test_chain_to_basis_rejects_what_partitions_rejects():
-    # Hand-built merges that no maximal chain has, and the message each reading raises.
+    # Hand-built merges that no maximal chain has, and the message `NCChain` raises on each, so
+    # that neither `partitions` nor `chain_to_basis` (nor `stanley_labels`) ever reads them.
     not_a_merge = "is not the merge of a maximal chain"
     cases = [
         (((0, 5),), f"step 1: (0, 5) {not_a_merge}"),  # 5 is outside {0, 1}
@@ -137,16 +138,15 @@ def test_chain_to_basis_rejects_what_partitions_rejects():
         (((1, 3), (0, 1), (0, 3)), f"step 2: (0, 1) {not_a_merge}"),  # {1, 3} ends at 3
         (((0, 2), (1, 3), (0, 1)), "blocks (1, 3) and (0, 2) cross"),
     ]
-    for read in (lambda chain: chain.partitions, chain_to_basis):
-        for merges, message in cases:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                read(NCChain(merges))
+    for merges, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NCChain(merges)
 
 
 def test_chain_product_rejection_is_never_overruled(monkeypatch):
     monkeypatch.setattr(noncrossing, "_is_cycle_factorization", lambda *args: False)
     with pytest.raises(RuntimeError):
-        chain_to_basis(NCChain(((0, 1), (1, 2))))  # the replay accepts it
+        NCChain(((0, 1), (1, 2)))  # the replay accepts it
 
 
 def _long_bases():
@@ -223,12 +223,17 @@ def _merge_sequences(n):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_merge_product_decides_every_single_merge_sequence(n):
-    # 1,442 of the 2,903 sequences with n <= 5 are maximal non-crossing chains.
+    # 1,442 of the 2,903 sequences with n <= 5 are maximal non-crossing chains; `NCChain`
+    # refuses the merges of each of the others.
     accepted = 0
     for raw in _merge_sequences(n):
         answer = _validated(raw)
         assert _by_product(raw) == answer, raw
-        accepted += isinstance(answer, NCChain)
+        if isinstance(answer, NCChain):
+            accepted += 1
+        else:
+            with pytest.raises(ValueError):
+                NCChain(noncrossing._merges(raw))
     assert accepted == dbasis.basis_count(n)
 
 

@@ -64,11 +64,11 @@ def test_diagram_svg_parses_and_is_deterministic():
 
 
 def test_orbit_dot_rank2():
-    dot = orbit_dot(orbit_graph(2))
+    dot = "".join(orbit_dot(orbit_graph(2)))
     assert dot.count("->") == 3
     assert dot.count('label="a1"') == 3
     assert '"1,1"' in dot and '"1,2"' in dot and '"2,1"' in dot
-    with_beta = orbit_dot(orbit_graph(2), include_beta=True)
+    with_beta = "".join(orbit_dot(orbit_graph(2), include_beta=True))
     assert with_beta.count('label="b1"') == 3
 
 
