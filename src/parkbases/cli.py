@@ -7,7 +7,8 @@ word, chain, hom, ext.  --out redirects any verb's output to a file, and --in
 redirects the input of the verbs that read a payload (convert, braid apply,
 render, quiver table, nc) from one.  Every verb writes through `_emit`: a JSON
 answer is one line, dumped from the library's own tuples, and the lines of
-`enumerate` and of `orbit`'s DOT are written in chunks as they are made.
+`enumerate` and of `orbit`'s DOT are written in chunks as they are made: a chunk
+joins up to 64 texts, each one DOT line or a block of up to 64 `enumerate` lines.
 Output is deterministic for fixed input and flags.  Every error exits 1 after
 printing a single line "CODE: human text" on stderr; arguments argparse rejects
 are E_PARSE.
@@ -25,7 +26,15 @@ import sys
 from . import noncrossing, render, verify
 from .bijection import initial_vector, reconstruct
 from .braid import apply_word, generator_order, orbit_graph, parse_word
-from .dbasis import BasisError, _point_bases, basis_count, distinguished_bases, to_arcs, validate_basis
+from .dbasis import (
+    BasisError,
+    _line_blocks,
+    _point_lines,
+    basis_count,
+    distinguished_bases,
+    to_arcs,
+    validate_basis,
+)
 from .parking import (
     _head_walk,
     _tails,
@@ -60,8 +69,8 @@ def _read_payload(args) -> dict:
     return payload
 
 
-# Texts per write of an iterable, and lines per block of `pf` lines: enough to amortise each
-# `write` and each join, few enough that memory stays flat.
+# Texts per write of an iterable, and the most lines of an `enumerate` text: enough to amortise
+# each `write` and each join, few enough that memory stays flat.
 _CHUNK = 64
 
 
@@ -70,8 +79,9 @@ def _emit(args, out) -> None:
 
     The dict's values may hold the library's tuples, which JSON writes as arrays.
     Each chunk is the join of the next `_CHUNK` texts, written as they are generated.  A text
-    is one line, or a block of at most `_CHUNK` lines (`_pf_lines`), so a write holds at most
-    `_CHUNK`^2 lines.
+    is one line (of `orbit`'s DOT), or a block of at most `_CHUNK` `enumerate` lines: the `pf`
+    lines of a head (`_pf_lines`), the bases lines of a product block (`dbasis._point_lines`),
+    or consecutive lines of another kind (`_joined`).  So a write holds at most `_CHUNK`^2 lines.
     Only `write` is called (and `flush` on sys.__stdout__), so any object with a `write` method will do.
     """
     if isinstance(out, dict):
@@ -135,7 +145,7 @@ def _pairs(basis: tuple[Root, ...]) -> list[tuple[int, int]]:
 
 def _is_int_list(value) -> bool:
     """Whether a JSON value is a list of integers (JSON bools, 1.9 and 2.0 are not integers)."""
-    return isinstance(value, list) and all(type(v) is int for v in value)
+    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 def _payload_pf(payload: dict) -> tuple[int, ...]:
@@ -158,7 +168,9 @@ def _payload_basis(payload: dict) -> tuple[Root, ...]:
         raise CliError("E_PARSE", "missing or malformed field 'n': expected an integer")
     if n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
-    if not (isinstance(raw, list) and all(_is_int_list(p) and len(p) == 2 for p in raw)):
+    flat = itertools.chain.from_iterable  # one pass per level: pairs, then their entries
+    pairs = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+    if not (pairs and set(map(type, flat(raw))) <= {int}):
         raise CliError("E_PARSE", "missing or malformed field 'basis': expected integer pairs")
     try:
         roots = tuple(Root(lo, hi, n) for lo, hi in raw)
@@ -171,8 +183,10 @@ def _payload_basis(payload: dict) -> tuple[Root, ...]:
 
 def _payload_chain(payload: dict) -> noncrossing.NCChain:
     raw = payload.get("chain")
-    nested = isinstance(raw, list) and all(isinstance(p, list) for p in raw)
-    if not (nested and all(_is_int_list(block) for p in raw for block in p)):
+    flat = itertools.chain.from_iterable  # one pass per level: partitions, blocks, points
+    nested = isinstance(raw, list) and set(map(type, raw)) <= {list}
+    blocks = [*flat(raw)] if nested else []
+    if not (nested and set(map(type, blocks)) <= {list} and set(map(type, flat(blocks))) <= {int}):
         raise CliError("E_INVALID_CHAIN", "malformed chain: expected lists of integer blocks")
     try:
         chain = noncrossing._chain_of_blocks(raw)
@@ -197,11 +211,12 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": f, "verified": verified})
 
 
-def _joined(texts_of):
-    """The lines of an enumeration whose items' element texts are texts_of(n), one join per item."""
+def _joined(texts_of, scale: int = 1):
+    """The lines of an enumeration whose items' element texts are texts_of(n), in texts of
+    `_CHUNK // scale` lines (`dbasis._line_blocks`): lines `scale` times as long as a basis's
+    come fewer to a text, so that a write stays under 1 MiB."""
     def lines(n: int, head: str, tail: str):
-        join = ", ".join
-        return (head + join(texts) + tail for texts in texts_of(n))
+        return _line_blocks(texts_of(n), head, tail, _CHUNK // scale)
     return lines
 
 
@@ -227,7 +242,7 @@ def _pf_lines(n: int, head: str, tail: str):
 
 
 # kind: (default limit, closed-form count, field name, lines(n, head, tail)), where each line is
-# head + the JSON texts of the item's list elements + tail (`pf` yields blocks of such lines).
+# head + the JSON texts of the item's list elements + tail (each yields blocks of such lines).
 # Every field name sorts before "n", and the texts are JSON with the default separators: each
 # line is json.dumps(item, sort_keys=True).  The lambdas look the enumerators up when called, so a
 # rebinding of this module's names (bench/spans.py traces that way) reaches them; it still
@@ -236,7 +251,8 @@ _ENUMERATE = {
     "pf": (8, lambda n: basis_count(n), "f", _pf_lines),
     "bases": (
         8, lambda n: basis_count(n), "basis",
-        _joined(lambda n: _point_bases(tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]"))),
+        lambda n, head, tail: _point_lines(
+            tuple(range(n + 1)), functools.cache(lambda a, b: f"[{a + 1}, {b}]"), head, tail, _CHUNK),
     ),
     "nondecreasing": (
         12, lambda n: catalan(n), "f",
@@ -245,7 +261,7 @@ _ENUMERATE = {
     "chains": (  # one text per chain: the JSON of its partitions without the outer brackets
         8, lambda n: basis_count(n), "chain",
         _joined(lambda n: ((json.dumps([p.blocks for p in c.partitions])[1:-1],)
-                           for c in noncrossing.maximal_chains(n))),
+                           for c in noncrossing.maximal_chains(n)), 4),  # n + 1 partitions a line
     ),
 }
 
@@ -367,15 +383,27 @@ def cmd_verify(args) -> None:
         sys.exit(1)
 
 
+# The most unrecognized arguments an E_PARSE line echoes; past them it gives their number.
+_ECHO_ARGS = 5
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors, its subparsers' included, raise CliError("E_PARSE", ...).
 
     Options are read only in full, so `verify 2 --in` is not `--inject-fault` and
-    `orbit 2 --in` is not `--include-beta`.
+    `orbit 2 --in` is not `--include-beta`.  Unrecognized arguments are echoed up to
+    `_ECHO_ARGS` of them, then counted.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            more = f" ... ({len(extra)} in all)" if len(extra) > _ECHO_ARGS else ""
+            self.error(f"unrecognized arguments: {' '.join(extra[:_ECHO_ARGS])}{more}")
+        return args
 
     def error(self, message):
         raise CliError("E_PARSE", message)

@@ -44,6 +44,11 @@ of an n = 6 listing, so a listing recurses only to depth n - 5.
 caller's choice: it yields tuples of leaf(a, b), so `distinguished_bases` shares one
 `Root` per arc and call, `noncrossing.maximal_chains` takes the arcs as a chain's
 merges, and the CLI lists the arcs' JSON texts without building a root.
+The CLI's lines come a product block at a time (`_point_lines`), over the same head loop
+(`_heads`) and the sub-bases of `_point_bases`.  A head with no roots on one side
+(j = i + 1, or the arc (p_0, p_t)) passes its text on as the start of the other side's
+lines, which come `size` to a join; any other head writes each (outside basis, inside
+basis) as one join of a text gather (`_text_gathers`, derived from `_gathers`).
 """
 from __future__ import annotations
 
@@ -286,29 +291,38 @@ def _table(t: int) -> tuple[Callable[[Sequence], tuple], ...]:
     return tuple(operator.itemgetter(*basis) for basis in _headed_bases(points, t, lambda a, b: index[a, b]))
 
 
-def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
-    """The bases of `_point_bases` for t >= 2.
+def _heads(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
+    """The head arcs (p_i, p_j) of the bases of t + 1 >= 3 points, in basis order, each as
+    (leaf(p_i, p_j), the points outside the arc, the points inside it) (`_split`), leaving out
+    a side of one point: it has no roots (j = i + 1, or the arc (p_0, p_t)).
 
-    Pick the head arc (p_i, p_j), enumerate the points outside and inside it
-    (`_split`), and interleave the two bases order-preservingly: each interleaving
-    is one gather from (head, *sub1, *sub2), read from `_gathers`, a pure table
-    cached per (t, m).
-    With nothing inside (j = i + 1) the one interleaving is (head, *sub1) itself.
+    The one head loop: `_headed_bases` and `_point_lines` both read the product blocks from it.
     """
     for i in range(t):
         for j in range(i + 1, t + 1):
-            head = leaf(points[i], points[j])
-            outside, inside = _split(points, i, j)
-            if j == i + 1:
-                for sub1 in _point_bases(outside, leaf):
-                    yield (head, *sub1)
-                continue
-            gathers = _gathers(t, len(outside) - 1)
-            for sub1 in _point_bases(outside, leaf):
-                for sub2 in _point_bases(inside, leaf):
-                    roots = (head, *sub1, *sub2)
-                    for gather in gathers:
-                        yield gather(roots)
+            yield (leaf(points[i], points[j]), *(side for side in _split(points, i, j) if len(side) > 1))
+
+
+def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
+    """The bases of `_point_bases` for t >= 2.
+
+    Pick the head arc (p_i, p_j) (`_heads`), enumerate the points outside and inside it,
+    and interleave the two bases order-preservingly: each interleaving is one gather from
+    (head, *sub1, *sub2), read from `_gathers`, a pure table cached per (t, m).
+    With one side alone holding roots, the one interleaving is (head, *sub) itself.
+    """
+    for head, *sides in _heads(points, t, leaf):
+        if len(sides) == 1:
+            for sub in _point_bases(sides[0], leaf):
+                yield (head, *sub)
+            continue
+        outside, inside = sides
+        gathers = _gathers(t, len(outside) - 1)
+        for sub1 in _point_bases(outside, leaf):
+            for sub2 in _point_bases(inside, leaf):
+                roots = (head, *sub1, *sub2)
+                for gather in gathers:
+                    yield gather(roots)
 
 
 @functools.cache
@@ -332,6 +346,63 @@ def _gathers(t: int, m: int) -> tuple[Callable[[tuple], tuple], ...]:
         index += range(p, t)
         gathers.append(operator.itemgetter(*index))
     return tuple(gathers)
+
+
+@functools.cache
+def _text_gathers(t: int, m: int, size: int) -> tuple[Callable[[tuple], tuple], ...]:
+    """`_gathers(t, m)` as text: gathers from (pre, ", ", post, head, *sub1, *sub2) of texts.
+
+    The join of one gather's texts is the lines pre + ", ".join(basis) + post of at most
+    `size` consecutive interleavings, so the C(t - 1, m) lines of one (head, sub1, sub2)
+    are one gather and one join while they number at most `size`.  A pure table, like
+    `_gathers`, keyed also by `size`.
+    """
+    lines = []
+    for gather in _gathers(t, m):
+        line = [1] * (2 * t + 1)  # pre, root, ", ", root, ..., ", ", root, post
+        line[0], line[-1] = 0, 2
+        line[1::2] = gather(range(3, t + 3))  # the roots' indices, past pre, ", " and post
+        lines.append(line)
+    return tuple(
+        operator.itemgetter(*itertools.chain.from_iterable(lines[k : k + size]))
+        for k in range(0, len(lines), size)
+    )
+
+
+def _point_lines(points: tuple[int, ...], leaf: Callable[[int, int], str], pre: str, post: str,
+                 size: int) -> Iterator[str]:
+    """The bases of `_point_bases(points, leaf)`, with leaf giving texts, as the lines
+    pre + ", ".join(basis) + post, in blocks of at most `size` lines.
+
+    One product block at a time (`_heads`): with one side alone holding roots, the lines of
+    (head, *sub) are that side's lines with pre + head + ", " for pre; else each (head, sub1,
+    sub2) is one join of each gather of `_text_gathers`, one gather per `size` lines.
+    """
+    t = len(points) - 1
+    if t <= _TABLED:
+        yield from _line_blocks(_point_bases(points, leaf), pre, post, size)
+        return
+    for head, *sides in _heads(points, t, leaf):
+        if len(sides) == 1:
+            yield from _point_lines(sides[0], leaf, f"{pre}{head}, ", post, size)
+            continue
+        outside, inside = sides
+        gathers = _text_gathers(t, len(outside) - 1, size)
+        for sub1 in _point_bases(outside, leaf):
+            for sub2 in _point_bases(inside, leaf):
+                texts = (pre, ", ", post, head, *sub1, *sub2)
+                for gather in gathers:
+                    yield "".join(gather(texts))
+
+
+def _line_blocks(items: Iterable[Sequence[str]], pre: str, post: str, size: int) -> Iterator[str]:
+    """The lines pre + ", ".join(item) + post of the items, `size` lines to a block.
+
+    A block is one join: pre + (post + pre).join(the items' joins) + post.
+    """
+    items, sep = iter(items), post + pre
+    while block := list(itertools.islice(items, size)):
+        yield pre + sep.join(map(", ".join, block)) + post
 
 
 def distinguished_bases(n: int) -> Iterator[Basis]:

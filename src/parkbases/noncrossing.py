@@ -18,9 +18,11 @@ parking function shifted down by one.
 Read as transpositions, the merges of a maximal chain are the arcs of a basis, so
 they multiply to (0 1 ... n) (`dbasis`), and single merges from the singletons that
 multiply to it are a maximal chain.  So `maximal_chains` reads the chains off the
-bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`, and
-an `NCChain` checks its merges once, where it is made, by that product: nothing that
-reads a chain checks it again, and its `partitions` are replayed without a crossing scan.
+bases enumeration (`dbasis._point_bases`), in the order of `distinguished_bases`.  Each
+chain's merges are checked once, by that product, where the chain is made: `NCChain`
+checks given merges, while `partition_chain` and `maximal_chains` store the arcs that
+`dbasis` has already accepted or enumerated (`_stored_chain`).  Nothing that reads a chain
+checks it again, and its `partitions` are replayed without a crossing scan.
 `verify` counts the chains from the definition, join by join, and runs the crossing
 scan on every replayed partition.
 """
@@ -124,7 +126,7 @@ class NCChain:
         return _replay(self.merges, checked=False)
 
 
-_set_blocks = NCPartition.blocks.__set__
+_set_blocks, _set_merges = NCPartition.blocks.__set__, NCChain.merges.__set__
 
 
 def _stored(blocks: tuple[Block, ...]) -> NCPartition:
@@ -132,6 +134,13 @@ def _stored(blocks: tuple[Block, ...]) -> NCPartition:
     part = object.__new__(NCPartition)
     _set_blocks(part, blocks)
     return part
+
+
+def _stored_chain(merges: tuple[tuple[int, int], ...]) -> NCChain:
+    """The NCChain of merges already known to be the arcs of a basis, unchecked."""
+    chain = object.__new__(NCChain)
+    _set_merges(chain, merges)
+    return chain
 
 
 def _replay(merges: tuple[tuple[int, int], ...], checked: bool) -> tuple[NCPartition, ...]:
@@ -246,9 +255,9 @@ def partition_chain(basis: Sequence[Root]) -> NCChain:
 
     A basis is its own chain: merge k is arc k.  The arcs come from `dbasis._accepted`, the
     one acceptance behind `validate_basis`, so any other tuple raises the BasisError (a
-    ValueError) that `validate_basis` raises on it.
+    ValueError) that `validate_basis` raises on it; accepted arcs are stored unchecked.
     """
-    return NCChain(_accepted(basis, None)[1])
+    return _stored_chain(_accepted(basis, None)[1])
 
 
 def chain_to_basis(chain: NCChain) -> Basis:
@@ -265,4 +274,4 @@ def maximal_chains(n: int) -> Iterator[NCChain]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    yield from map(NCChain, _point_bases(tuple(range(n + 1)), lambda a, b: (a, b)))
+    yield from map(_stored_chain, _point_bases(tuple(range(n + 1)), lambda a, b: (a, b)))

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -109,7 +110,7 @@ def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
         raise AssertionError("--count enumerated")
 
     monkeypatch.setattr("parkbases.cli.distinguished_bases", enumerate_)
-    monkeypatch.setattr("parkbases.cli._point_bases", enumerate_)  # what listing `bases` calls
+    monkeypatch.setattr("parkbases.cli._point_lines", enumerate_)  # what listing `bases` calls
     monkeypatch.setattr("parkbases.noncrossing.maximal_chains", enumerate_)
     code, out, _ = run_cli(["enumerate", "8", kind, "--count"], "", monkeypatch, capsys)
     assert code == 0 and json.loads(out) == {"count": 9 ** 7, "kind": kind, "n": 8}
@@ -474,16 +475,17 @@ def test_nc_from_chain_rejects_n_zero(monkeypatch, capsys):
 
 class _WriteOnly:
     """A stdout with nothing but `write`, keeping the size and digest of what it gets, its number
-    of writes and the largest one."""
+    of writes, the largest one and the most lines in one."""
 
     def __init__(self):
-        self.size = self.writes = self.largest = 0
+        self.size = self.writes = self.largest = self.most_lines = 0
         self.sha = hashlib.sha256()
 
     def write(self, text):
         self.size += len(text)
         self.writes += 1
         self.largest = max(self.largest, len(text))
+        self.most_lines = max(self.most_lines, text.count("\n"))
         self.sha.update(text.encode())
         return len(text)
 
@@ -523,11 +525,12 @@ def test_large_writes_match_their_golden_bytes(argv, size, sha, monkeypatch):
     assert (sink.size, sink.sha.hexdigest()) == (size, sha)
 
 
-# Sizes and sha256 digests at n = 7, as written when pf lines came one per head f[:n-1] and chain
-# partitions were each checked for crossings.
+# Sizes and sha256 digests at n = 7, as written when pf lines came one per head f[:n-1], chain
+# partitions were each checked for crossings, and bases lines were joined one by one.
 ENUMERATE_7_GOLDEN = [
     (["enumerate", "7", "pf"], 9699328, "81a8422f348210e474028769ba5a4897ab6a7ab5b2109418cdb2fbf6ca70537f"),
     (["enumerate", "7", "chains"], 78643200, "ed6493b3a520dbd2996f5a1b8dd93831bf9e3f9334f49b3e66817b3c15bd8c91"),
+    (["enumerate", "7", "bases"], 19922944, "f4214138c71d419b1db60e01914d13695ad4f3c5d33da52fc4c911751662f78b"),
 ]
 
 
@@ -551,9 +554,10 @@ def test_enumerate_out_file_matches_stdout(argv, size, sha, tmp_path, monkeypatc
 
 
 def test_enumerate_memory_stays_flat(monkeypatch):
-    # The bases run starts from empty interleaving and basis tables, so its peak counts them too.
+    # The bases run starts from empty interleaving, text and basis tables, so its peak counts them too.
     for kind, size in [("pf", 571438), ("bases", 1142876)]:  # all 16,807 lines of each
         dbasis._gathers.cache_clear()
+        dbasis._text_gathers.cache_clear()
         dbasis._table.cache_clear()
         sink = _WriteOnly()
         monkeypatch.setattr("sys.stdout", sink)
@@ -565,6 +569,24 @@ def test_enumerate_memory_stays_flat(monkeypatch):
             tracemalloc.stop()
         assert sink.size == size
         assert peak < 2**20, kind
+
+
+def test_an_interleaving_of_more_than_a_chunk_is_split(monkeypatch):
+    # At n = 6 the head (p_0, p_3) interleaves 3 outside roots with 2 inside in C(5, 3) = 10
+    # ways; with 4 lines to a text, its 10 lines per (head, sub1, sub2) are 3 texts.
+    def lines(size):  # of each gather from (pre, ", ", post, head, *sub1, *sub2): how many pre
+        return [gather(range(9)).count(0) for gather in dbasis._text_gathers(6, 3, size)]
+
+    assert (lines(64), lines(4)) == ([10], [4, 4, 2])
+    monkeypatch.setattr("parkbases.cli._CHUNK", 4)
+    sink = _WriteOnly()
+    monkeypatch.setattr("sys.stdout", sink)
+    main(["enumerate", "6", "bases"])
+    assert (sink.size, sink.sha.hexdigest()) == ENUMERATE_GOLDEN[-1][1:]
+    assert sink.most_lines <= 4 * 4
+    leaf = functools.cache(lambda a, b: f"[{a + 1}, {b}]")
+    texts = list(dbasis._point_lines(tuple(range(7)), leaf, "", "\n", 4))
+    assert max(text.count("\n") for text in texts) == 4 and len("".join(texts).splitlines()) == 7 ** 5
 
 
 def test_orbit_json_is_the_graph_as_json(monkeypatch, capsys):
@@ -606,6 +628,16 @@ def test_verbs_that_read_no_payload_refuse_in(argv, tmp_path, monkeypatch, capsy
     for extra in (["--in", str(tmp_path / "missing.json")], ["--in"]):
         code, out, err = run_cli([*argv, *extra], "", monkeypatch, capsys)
         assert (code, out, err) == (1, "", f"E_PARSE: unrecognized arguments: {' '.join(extra)}\n")
+
+
+def test_unrecognized_arguments_are_echoed_five_at_most(monkeypatch, capsys):
+    # 5,000 zeros once made an E_PARSE line of 5,050 bytes; past five the line counts them.
+    argv = ["enumerate", "3", "pf", "--limit", "1"]
+    code, out, err = run_cli([*argv, "0", "1", "2", "3", "4"], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "E_PARSE: unrecognized arguments: 0 1 2 3 4\n")
+    for count in (6, 5000):
+        code, out, err = run_cli([*argv, *["0"] * count], "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_PARSE: unrecognized arguments: 0 0 0 0 0 ... ({count} in all)\n")
 
 
 @pytest.mark.parametrize("kind, n", [("pf", 1372), ("bases", 1372), ("chains", 1372), ("nondecreasing", 7153)])
