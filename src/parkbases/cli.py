@@ -8,7 +8,7 @@ redirects the input of the verbs that read a payload (convert, braid apply,
 render, quiver table, nc) from one.  Every verb writes through `_emit`: a JSON
 answer is one line, dumped from the library's own tuples, and the lines of
 `enumerate` and of `orbit`'s DOT are written in chunks as they are made: a chunk
-joins up to 64 texts, each one DOT line or a block of up to 64 `enumerate` lines.
+joins up to 64 texts, each one line or a block of up to 64 `enumerate` lines.
 Output is deterministic for fixed input and flags.  Every error exits 1 after
 printing a single line "CODE: human text" on stderr; arguments argparse rejects
 are E_PARSE.
@@ -79,9 +79,10 @@ def _emit(args, out) -> None:
 
     The dict's values may hold the library's tuples, which JSON writes as arrays.
     Each chunk is the join of the next `_CHUNK` texts, written as they are generated.  A text
-    is one line (of `orbit`'s DOT), or a block of at most `_CHUNK` `enumerate` lines: the `pf`
-    lines of a head (`_pf_lines`), the bases lines of a product block (`dbasis._point_lines`),
-    or consecutive lines of another kind (`_joined`).  So a write holds at most `_CHUNK`^2 lines.
+    is one line (of `orbit`'s DOT or of `enumerate chains`), or a block of at most `_CHUNK`
+    `enumerate` lines: the `pf` lines of a head (`_pf_lines`), the bases lines of a product block
+    (`dbasis._point_lines`), or consecutive `nondecreasing` lines (`dbasis._line_blocks`).  So a
+    write holds at most `_CHUNK`^2 lines.
     Only `write` is called (and `flush` on sys.__stdout__), so any object with a `write` method will do.
     """
     if isinstance(out, dict):
@@ -168,9 +169,7 @@ def _payload_basis(payload: dict) -> tuple[Root, ...]:
         raise CliError("E_PARSE", "missing or malformed field 'n': expected an integer")
     if n < 1:
         raise CliError("E_PARSE", "n must be >= 1")
-    flat = itertools.chain.from_iterable  # one pass per level: pairs, then their entries
-    pairs = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-    if not (pairs and set(map(type, flat(raw))) <= {int}):
+    if not (isinstance(raw, list) and all(_is_int_list(p) and len(p) == 2 for p in raw)):
         raise CliError("E_PARSE", "missing or malformed field 'basis': expected integer pairs")
     try:
         roots = tuple(Root(lo, hi, n) for lo, hi in raw)
@@ -211,15 +210,6 @@ def cmd_convert(args) -> None:
         _emit(args, {"n": len(f), "f": f, "verified": verified})
 
 
-def _joined(texts_of, scale: int = 1):
-    """The lines of an enumeration whose items' element texts are texts_of(n), in texts of
-    `_CHUNK // scale` lines (`dbasis._line_blocks`): lines `scale` times as long as a basis's
-    come fewer to a text, so that a write stays under 1 MiB."""
-    def lines(n: int, head: str, tail: str):
-        return _line_blocks(texts_of(n), head, tail, _CHUNK // scale)
-    return lines
-
-
 def _pf_lines(n: int, head: str, tail: str):
     """The parking-function lines, in blocks: per head f[:n-2] of `parking._head_walk`, one join
     of the head's text with the lines of its two-entry tails.
@@ -242,7 +232,8 @@ def _pf_lines(n: int, head: str, tail: str):
 
 
 # kind: (default limit, closed-form count, field name, lines(n, head, tail)), where each line is
-# head + the JSON texts of the item's list elements + tail (each yields blocks of such lines).
+# head + the JSON texts of the item's list elements + tail (`chains` yields such lines, the other
+# kinds blocks of them).
 # Every field name sorts before "n", and the texts are JSON with the default separators: each
 # line is json.dumps(item, sort_keys=True).  The lambdas look the enumerators up when called, so a
 # rebinding of this module's names (bench/spans.py traces that way) reaches them; it still
@@ -256,12 +247,13 @@ _ENUMERATE = {
     ),
     "nondecreasing": (
         12, lambda n: catalan(n), "f",
-        _joined(lambda n: (map(str, f) for f in nondecreasing_parking_functions(n))),
+        lambda n, head, tail: _line_blocks(
+            (map(str, f) for f in nondecreasing_parking_functions(n)), head, tail, _CHUNK),
     ),
-    "chains": (  # one text per chain: the JSON of its partitions without the outer brackets
+    "chains": (  # one line per chain, from the JSON of its partitions without the outer brackets
         8, lambda n: basis_count(n), "chain",
-        _joined(lambda n: ((json.dumps([p.blocks for p in c.partitions])[1:-1],)
-                           for c in noncrossing.maximal_chains(n)), 4),  # n + 1 partitions a line
+        lambda n, head, tail: (head + json.dumps([p.blocks for p in c.partitions])[1:-1] + tail
+                               for c in noncrossing.maximal_chains(n)),
     ),
 }
 
