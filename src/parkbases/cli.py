@@ -11,7 +11,9 @@ answer is one line, dumped from the library's own tuples, and the lines of
 joins up to 64 texts, each one line or a block of up to 64 `enumerate` lines.
 Output is deterministic for fixed input and flags.  Every error exits 1 after
 printing a single line "CODE: human text" on stderr; arguments argparse rejects
-are E_PARSE.
+are E_PARSE.  `main` bounds every such line, whatever its source, to under 200
+characters (bytes, for ASCII input): a message of more than `_LONG` characters keeps
+its first `_HEAD` and last `_TAIL`, joined by " ... [N characters] ... ".
 """
 from __future__ import annotations
 
@@ -88,13 +90,13 @@ def _emit(args, out) -> None:
     if isinstance(out, dict):
         out = json.dumps(out, sort_keys=True) + "\n"
     lines = iter([out] if isinstance(out, str) else out)
-    target = contextlib.nullcontext(sys.stdout)
+    chunk = list(itertools.islice(lines, _CHUNK))  # made before --out is opened: a refused listing leaves it
     try:
-        if args.outfile:
-            target = open(args.outfile, "w", encoding="utf-8")
+        target = open(args.outfile, "w", encoding="utf-8") if args.outfile else contextlib.nullcontext(sys.stdout)
         with target as stream:
-            while chunk := list(itertools.islice(lines, _CHUNK)):
+            while chunk:
                 stream.write("".join(chunk))
+                chunk = list(itertools.islice(lines, _CHUNK))
             if stream is sys.__stdout__:
                 stream.flush()
     except OSError as exc:
@@ -121,23 +123,13 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-# The most digits of n an E_LIMIT line echoes; a longer n is named by its digit count.
-_ECHO_DIGITS = 40
-
-
 def _check_limit(args, what: str, default: int) -> None:
     """Reject args.n above --limit, or above `default` when --limit is not given."""
     if args.limit is not None and args.limit < 1:
         raise CliError("E_PARSE", "--limit must be >= 1")
     limit = default if args.limit is None else args.limit
     if args.n > limit:
-        raise CliError("E_LIMIT", f"{_named(args.n)} exceeds the {what} limit {limit}; raise it with --limit")
-
-
-def _named(n: int) -> str:
-    """n as an E_LIMIT line names it: "n=N", or past `_ECHO_DIGITS` digits its digit count."""
-    digits = len(str(n))
-    return f"n={n}" if digits <= _ECHO_DIGITS else f"an n of {digits} digits"
+        raise CliError("E_LIMIT", f"n={args.n} exceeds the {what} limit {limit}; raise it with --limit")
 
 
 def _pairs(basis: tuple[Root, ...]) -> list[tuple[int, int]]:
@@ -274,14 +266,15 @@ def cmd_enumerate(args) -> None:
                 raise ValueError
             line = json.dumps({"n": n, "kind": args.kind, "count": count(n)}, sort_keys=True) + "\n"
         except ValueError as exc:
-            name = _named(n)
-            raise CliError("E_LIMIT", f"the {args.kind} count at {name} has more than {digits} digits") from exc
+            raise CliError("E_LIMIT", f"the {args.kind} count at n={n} has more than {digits} digits") from exc
         _emit(args, line)
         return
     try:  # before their first item, the bases and chains enumerators recurse to depth n - 5
         _emit(args, lines(n, f'{{"{field}": [', f'], "n": {n}}}\n'))
     except RecursionError as exc:
         raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
+    except (OverflowError, MemoryError) as exc:  # a first item too large to index or allocate
+        raise CliError("E_LIMIT", f"n={n} is too large for the {args.kind} enumeration") from exc
 
 
 def cmd_braid(args) -> None:
@@ -318,7 +311,10 @@ def cmd_orbit(args) -> None:
     if args.n < 2:
         raise CliError("E_PARSE", "orbit graphs need n >= 2")
     _check_limit(args, "orbit", 6)  # orbit_graph(6) holds about 16 MiB; n = 7 would need about 300 MiB
-    graph = orbit_graph(args.n)
+    try:
+        graph = orbit_graph(args.n)
+    except (OverflowError, MemoryError) as exc:
+        raise CliError("E_LIMIT", f"n={args.n} is too large for the orbit graph") from exc
     if args.format == "dot":
         _emit(args, render.orbit_dot(graph, include_beta=args.include_beta))
     else:
@@ -375,27 +371,16 @@ def cmd_verify(args) -> None:
         sys.exit(1)
 
 
-# The most unrecognized arguments an E_PARSE line echoes; past them it gives their number.
-_ECHO_ARGS = 5
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors, its subparsers' included, raise CliError("E_PARSE", ...).
 
     Options are read only in full, so `verify 2 --in` is not `--inject-fault` and
-    `orbit 2 --in` is not `--include-beta`.  Unrecognized arguments are echoed up to
-    `_ECHO_ARGS` of them, then counted.
+    `orbit 2 --in` is not `--include-beta`.  A message may echo its argument whole; `main`
+    bounds the line it prints.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-
-    def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            more = f" ... ({len(extra)} in all)" if len(extra) > _ECHO_ARGS else ""
-            self.error(f"unrecognized arguments: {' '.join(extra[:_ECHO_ARGS])}{more}")
-        return args
 
     def error(self, message):
         raise CliError("E_PARSE", message)
@@ -473,12 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An error message of more than _LONG characters keeps its first _HEAD and last _TAIL, so that
+# the line still ends with what the user can act on (a limit and --limit, or the choices).
+_LONG, _HEAD, _TAIL = 180, 80, 70
+
+
 def main(argv: list[str] | None = None) -> None:
     try:
         args = build_parser().parse_args(argv)
         args.fn(args)
     except CliError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > _LONG:
+            cut = len(message) - _HEAD - _TAIL
+            message = f"{message[:_HEAD]} ... [{cut} characters] ... {message[-_TAIL:]}"
+        print(f"{exc.code}: {message}", file=sys.stderr)
         sys.exit(1)
 
 

@@ -23,8 +23,8 @@ chain's merges are checked once, by that product, where the chain is made: `NCCh
 checks given merges, while `partition_chain` and `maximal_chains` store the arcs that
 `dbasis` has already accepted or enumerated (`_stored_chain`).  Nothing that reads a chain
 checks it again, and its `partitions` are replayed without a crossing scan.
-`verify` counts the chains from the definition, join by join, and runs the crossing
-scan on every replayed partition.
+`verify` counts the chains from the definition, join by join, runs the crossing scan
+on every replayed partition, and compares each with the components of its basis's arcs.
 """
 from __future__ import annotations
 

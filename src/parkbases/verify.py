@@ -359,13 +359,26 @@ def check_chain_counts(n: int) -> None:
         raise CheckFailure({"labels": len(shifted)})
 
 
+def _arc_components(basis: roots.Basis) -> list[tuple[tuple[int, ...], ...]]:
+    """For j = 0..n, the connected components of the first j arcs (lo - 1, hi), sorted by minimum."""
+    component = {x: (x,) for x in range(len(basis) + 1)}
+    parts = [tuple(component.values())]
+    for r in basis:
+        joined = tuple(sorted({*component[r.lo - 1], *component[r.hi]}))
+        component.update(dict.fromkeys(joined, joined))
+        parts.append(tuple(sorted(set(component.values()))))
+    return parts
+
+
 @_LISTED_CHAINS
 def check_chain_identity(listed, n):
-    # Chain k of the enumeration is the chain of basis k, so its content and its order are both checked.
+    # Chain k of the enumeration is the chain of basis k, so its content and its order are both
+    # checked; and, as the paper states it, its partition j is the components of the first j arcs.
     basis, chain_k = listed
     chain = noncrossing.partition_chain(basis)
-    if chain_k != chain:
-        return {"chain": [p.blocks for p in chain_k.partitions]}
+    blocks = [p.blocks for p in chain_k.partitions]
+    if chain_k != chain or blocks != _arc_components(basis):
+        return {"chain": blocks}
     labels = noncrossing.stanley_labels(chain)
     if tuple(v + 1 for v in labels) != bijection.initial_vector(basis):
         return True

@@ -65,12 +65,16 @@ def test_convert_round_trip_n12(monkeypatch, capsys):
 
 
 def test_convert_rejects_bad_parking_function(monkeypatch, capsys):
-    code, out, err = run_cli(
-        ["convert", "pf-to-basis"], '{"n":2,"f":[2,2]}', monkeypatch, capsys
-    )
-    assert code == 1
-    assert err.startswith("E_INVALID_PF:")
-    assert out == ""
+    # A value in range that breaks the parking condition, and one out of range (which `is_parking`
+    # itself refuses), read by both verbs that take an f.
+    for payload, message in [
+        ('{"f":[2,2]}', "[2, 2] violates the parking condition"),
+        ('{"f":[0]}', "value 0 out of range [1, 1]"),
+        ('{"f":[3,1]}', "value 3 out of range [1, 2]"),
+    ]:
+        for argv in (["convert", "pf-to-basis"], ["braid", "apply", "1"]):
+            code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+            assert (code, out, err) == (1, "", f"E_INVALID_PF: {message}\n"), (argv, payload)
 
 
 def test_convert_rejects_bad_basis(monkeypatch, capsys):
@@ -117,15 +121,54 @@ def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("kind", ["bases", "chains"])
-def test_enumerate_past_the_recursion_depth_is_one_error_line(kind, monkeypatch, capsys):
-    # Both build their first item at full depth, so nothing is written before the error.
+def test_enumerate_past_the_recursion_depth_is_one_error_line(kind, tmp_path, monkeypatch, capsys):
+    # Both build their first item at full depth, so nothing is written before the error, and an
+    # existing --out file is not even opened.
+    outfile = tmp_path / "kept.json"
+    outfile.write_text("kept\n")
     depth = sys.getrecursionlimit()
     sys.setrecursionlimit(400)  # reaches the depth at n = 600 instead of n ~ 1000, and cheaply
     try:
-        code, out, err = run_cli(["enumerate", "600", kind, "--limit", "600"], "", monkeypatch, capsys)
+        argv = ["enumerate", "600", kind, "--limit", "600"]
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
+        code, out, err = run_cli([*argv, "--out", str(outfile)], "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
     finally:
         sys.setrecursionlimit(depth)
-    assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
+    assert outfile.read_bytes() == b"kept\n"
+
+
+_HUGE = str(10**30)  # past what an index holds: refused before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["enumerate", _HUGE, kind], f"{kind} enumeration") for kind in ("bases", "chains", "nondecreasing")]
+    + [(["orbit", _HUGE], "orbit graph")],
+    ids=["bases", "chains", "nondecreasing", "orbit"],
+)
+def test_a_listing_too_large_to_start_is_one_error_line(argv, what, monkeypatch, capsys):
+    code, out, err = run_cli([*argv, "--limit", _HUGE], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"E_LIMIT: n={_HUGE} is too large for the {what}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name, what",
+    [(["enumerate", "9", "bases"], "parkbases.cli._point_lines", "bases enumeration"),
+     (["enumerate", "9", "chains"], "parkbases.noncrossing.maximal_chains", "chains enumeration"),
+     (["enumerate", "13", "nondecreasing"], "parkbases.cli.nondecreasing_parking_functions",
+      "nondecreasing enumeration"),
+     (["orbit", "7"], "parkbases.cli.orbit_graph", "orbit graph")],
+    ids=["bases", "chains", "nondecreasing", "orbit"],
+)
+def test_a_listing_that_runs_out_of_memory_is_one_error_line(argv, name, what, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(name, exhausted)
+    code, out, err = run_cli([*argv, "--limit", argv[1]], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"E_LIMIT: n={argv[1]} is too large for the {what}\n")
 
 
 def test_enumerate_limit_mentions_flag(monkeypatch, capsys):
@@ -630,14 +673,51 @@ def test_verbs_that_read_no_payload_refuse_in(argv, tmp_path, monkeypatch, capsy
         assert (code, out, err) == (1, "", f"E_PARSE: unrecognized arguments: {' '.join(extra)}\n")
 
 
-def test_unrecognized_arguments_are_echoed_five_at_most(monkeypatch, capsys):
-    # 5,000 zeros once made an E_PARSE line of 5,050 bytes; past five the line counts them.
+def test_unrecognized_arguments_are_echoed_within_the_line_bound(monkeypatch, capsys):
+    # 5,000 zeros once made an E_PARSE line of 5,050 bytes; now the line keeps both ends of the message.
     argv = ["enumerate", "3", "pf", "--limit", "1"]
-    code, out, err = run_cli([*argv, "0", "1", "2", "3", "4"], "", monkeypatch, capsys)
-    assert (code, out, err) == (1, "", "E_PARSE: unrecognized arguments: 0 1 2 3 4\n")
-    for count in (6, 5000):
-        code, out, err = run_cli([*argv, *["0"] * count], "", monkeypatch, capsys)
-        assert (code, out, err) == (1, "", f"E_PARSE: unrecognized arguments: 0 0 0 0 0 ... ({count} in all)\n")
+    code, out, err = run_cli([*argv, "0", "1", "2", "3", "4", "5"], "", monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "E_PARSE: unrecognized arguments: 0 1 2 3 4 5\n")
+    code, out, err = run_cli([*argv, *["0"] * 5000], "", monkeypatch, capsys)
+    message = f"unrecognized arguments: {'0 ' * 28} ... [9873 characters] ... {' 0' * 35}"
+    assert (code, out, err) == (1, "", f"E_PARSE: {message}\n")
+
+
+_DIGITS = sys.get_int_max_str_digits()  # int() reads at most this many digits, leading zeros included
+_X = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, code, message",
+    [
+        (["enumerate", "2", _X], "", "E_PARSE",
+         f"argument kind: invalid choice: '{_X}' (choose from 'pf', 'bases', 'nondecreasing', 'chains')"),
+        (["orbit", "2", "--format", _X], "", "E_PARSE",
+         f"argument --format: invalid choice: '{_X}' (choose from 'dot', 'json')"),
+        (["enumerate", "2", "pf", _X], "", "E_PARSE", f"unrecognized arguments: {_X}"),
+        (["enumerate", _X, "pf"], "", "E_PARSE", f"argument n: invalid int value: '{_X}'"),
+        (["braid", "apply", _X], "", "E_BAD_WORD", f"letter 1 ('{_X}') is not an integer"),
+        (["convert", "pf-to-basis"], json.dumps({"f": [2] * 100_000}), "E_INVALID_PF",
+         f"{[2] * 100_000} violates the parking condition"),
+        (["enumerate", "9" * _DIGITS, "bases", "--limit", "9" * _DIGITS], "", "E_LIMIT",
+         f"n={'9' * _DIGITS} is too large for the bases enumeration"),
+    ],
+    ids=["kind", "format", "unrecognized", "n", "letter", "pf", "listing"],
+)
+def test_a_long_message_is_one_short_line_that_keeps_both_ends(argv, stdin_text, code, message,
+                                                                 monkeypatch, capsys):
+    status, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
+    cut = f" ... [{len(message) - 150} characters] ... "
+    assert (status, out, err) == (1, "", f"{code}: {message[:80]}{cut}{message[-70:]}\n")
+    assert len(err.encode()) < 200
+
+
+def test_a_message_of_180_characters_is_printed_whole(monkeypatch, capsys):
+    # "letter 1 ('...') is not an integer" is 31 characters around the letter.
+    for width, line in [(149, f"letter 1 ('{'x' * 149}') is not an integer"),
+                        (150, f"letter 1 ('{'x' * 69} ... [31 characters] ... {'x' * 50}') is not an integer")]:
+        code, out, err = run_cli(["braid", "apply", "x" * width], "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_BAD_WORD: {line}\n")
 
 
 @pytest.mark.parametrize("kind, n", [("pf", 1372), ("bases", 1372), ("chains", 1372), ("nondecreasing", 7153)])
@@ -667,9 +747,6 @@ def test_a_count_far_past_the_int_text_limit_is_refused_uncounted(kind, monkeypa
     assert (code, out, err) == (1, "", message) and time.perf_counter() - start < 1
 
 
-_DIGITS = sys.get_int_max_str_digits()  # int() reads at most this many digits, leading zeros included
-
-
 @pytest.mark.parametrize(
     "argv, what, limit",
     [(["enumerate", "{}", "pf"], "pf", 8), (["orbit", "{}"], "orbit", 6), (["verify", "{}"], "all", 5)],
@@ -679,10 +756,12 @@ def test_an_integer_of_too_many_digits_is_one_short_error_line(argv, what, limit
     small = [arg.format(2) for arg in argv]
     _, expected, _ = run_cli(small, "", monkeypatch, capsys)
     # At the bound, n and --limit are read as int() reads them, the sign not counted: an E_LIMIT
-    # line that names n by its digit count, or the usual answer.
+    # line that keeps both ends of n's message, or the usual answer.
     n = "9" * _DIGITS
     code, out, err = run_cli([arg.format("+" + n) for arg in argv], "", monkeypatch, capsys)
-    message = f"E_LIMIT: an n of {_DIGITS} digits exceeds the {what} limit {limit}; raise it with --limit\n"
+    tail = f" exceeds the {what} limit {limit}; raise it with --limit"
+    cut = f" ... [{2 + _DIGITS + len(tail) - 150} characters] ... "
+    message = f"E_LIMIT: n={n[:78]}{cut}{(n + tail)[-70:]}\n"
     assert (code, out, err) == (1, "", message) and len(err) < 200
     code, out, err = run_cli([*small, "--limit", "+1" + "0" * (_DIGITS - 1)], "", monkeypatch, capsys)
     assert (code, out, err) == (0, expected, "")
@@ -765,7 +844,7 @@ def test_stdin_verbs_answer_or_print_one_error_line(argv, payload):
         assert out and err == ""
     else:
         assert code == 1 and out == "", (code, out)
-        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), err
+        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err) and len(err.encode()) < 200, err
 
 
 _NUMBERS = ("-1", "0", "1", "2", "3", "two", "1.5")  # --limit takes only these, so nothing runs large
@@ -821,7 +900,7 @@ def test_any_argv_answers_or_prints_one_error_line(argv, stdin_text):
     assert code in (0, 1), (argv, code, err)
     if err:
         assert code == 1 and out == "", (argv, out)
-        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err), (argv, err)
+        assert re.fullmatch(r"E_[A-Z_]+: [^\n]+\n", err) and len(err.encode()) < 200, (argv, err)
 
 
 def _cli_process(argv, stdout):

@@ -126,6 +126,21 @@ def test_chain_identity_reads_the_enumeration_order(monkeypatch):
     }
 
 
+def test_chain_identity_reads_each_partition(monkeypatch):
+    # Each chain's merges and labels stay right; only its replayed partition 1 is wrong.
+    replay = noncrossing._replay
+
+    def wrong_step_one(merges, checked):
+        parts = replay(merges, checked)
+        return (parts[0], parts[0], *parts[2:])
+
+    monkeypatch.setattr(noncrossing, "_replay", wrong_step_one)
+    with pytest.raises(verify.CheckFailure) as failure:
+        verify.check_chain_identity(3)
+    chain = failure.value.counterexample["chain"]
+    assert chain[1] == chain[0] == ((0,), (1,), (2,), (3,))
+
+
 def test_exceptional_equals_validate_reads_the_arc_rules(monkeypatch):
     # validate_basis never reads the arc rules, so only this check sees them break.
     monkeypatch.setattr(dbasis, "_check_arcs", lambda arcs: None)
