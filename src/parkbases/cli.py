@@ -219,7 +219,7 @@ def _pf_lines(n: int, head: str, tail: str):
         lines = [f"{v}, {w}{tail}" for v, w in _tails(b, a)]
         return [["", *lines[i : i + _CHUNK]] for i in range(0, len(lines), _CHUNK)]
 
-    for text, b, a in _head_walk(n, head, [f"{v}, " for v in range(n + 1)]):
+    for text, b, a in _head_walk(n, head, (f"{v}, " for v in range(n + 1))):
         yield from map(text.join, blocks(b, a))
 
 
@@ -269,10 +269,8 @@ def cmd_enumerate(args) -> None:
             raise CliError("E_LIMIT", f"the {args.kind} count at n={n} has more than {digits} digits") from exc
         _emit(args, line)
         return
-    try:  # before their first item, the bases and chains enumerators recurse to depth n - 5
+    try:
         _emit(args, lines(n, f'{{"{field}": [', f'], "n": {n}}}\n'))
-    except RecursionError as exc:
-        raise CliError("E_LIMIT", f"n={n} is too deep for the {args.kind} enumeration") from exc
     except (OverflowError, MemoryError) as exc:  # a first item too large to index or allocate
         raise CliError("E_LIMIT", f"n={n} is too large for the {args.kind} enumeration") from exc
 

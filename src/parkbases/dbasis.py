@@ -36,19 +36,26 @@ The ways to interleave the two sub-bases depend only on the number of points t
 and of outside roots m, so `_gathers` caches them per (t, m): a pure table, shared
 by every call and thread.
 The bases of t + 1 points likewise depend on t alone, so for t <= 5 `_point_bases`
-reads them from `_table(t)` instead of recursing: 1,440 gathers over t = 2..5, built
-once by the recursion itself.  Below that bound lie most generator frames and the
-inside enumerations rebuilt for every outside basis, about three quarters of the time
-of an n = 6 listing, so a listing recurses only to depth n - 5.
+reads them from `_table(t)`: 1,440 gathers over t = 2..5, built once by the walk itself.
+Below that bound lie most generator frames and the inside enumerations rebuilt for every
+outside basis, about three quarters of the time of an n = 6 listing.
+One walk descends the product: `_heads` yields its blocks in basis order, each a head
+with roots on both sides or a side read from the table, led by the heads above it that
+leave one side without roots (j = i + 1, or the arc (p_0, p_t)).  It walks those on an
+explicit stack, so every n starts at once (the first basis at n = 3,000 in under a
+second).  A two-sided head still enumerates its sides through `_point_bases`, one
+generator frame per level of such nesting (measured).  Nesting d levels deep needs
+a side of at least 2d + 7 points, and the first two-sided head of t + 1 points comes
+only after the t^(t - 2) bases under (p_0, p_1): depth d comes after at least
+(2d + 6)^(2d + 4) bases, so no listing nears the recursion limit.
 `_point_bases` is the library's one enumerator, and what an arc becomes is the
 caller's choice: it yields tuples of leaf(a, b), so `distinguished_bases` shares one
 `Root` per arc and call, `noncrossing.maximal_chains` takes the arcs as a chain's
 merges, and the CLI lists the arcs' JSON texts without building a root.
-The CLI's lines come a product block at a time (`_point_lines`), over the same head loop
-(`_heads`) and the sub-bases of `_point_bases`.  A head with no roots on one side
-(j = i + 1, or the arc (p_0, p_t)) passes its text on as the start of the other side's
-lines, which come `size` to a join; any other head writes each (outside basis, inside
-basis) as one join of a text gather (`_text_gathers`, derived from `_gathers`).
+`_headed_bases` (tuples) and `_point_lines` (the CLI's lines) only consume the blocks.
+`_point_lines` joins a block's heads into the start of its lines once; a side's lines
+come `size` to a join, and a two-sided head writes each (outside basis, inside basis)
+as one join of a text gather (`_text_gathers`, derived from `_gathers`).
 """
 from __future__ import annotations
 
@@ -270,7 +277,7 @@ def _point_bases(points: tuple[int, ...], leaf: Callable[[int, int], object]) ->
     if t <= _TABLED:
         arcs = [leaf(a, b) for a, b in itertools.combinations(points, 2)]
         return [gather(arcs) for gather in _table(t)]
-    return _headed_bases(points, t, leaf)
+    return _headed_bases(points, leaf)
 
 
 _TABLED = 5  # the largest t that `_point_bases` reads from `_table`
@@ -288,41 +295,53 @@ def _table(t: int) -> tuple[Callable[[Sequence], tuple], ...]:
     """
     points = tuple(range(t + 1))
     index = {arc: k for k, arc in enumerate(itertools.combinations(points, 2))}
-    return tuple(operator.itemgetter(*basis) for basis in _headed_bases(points, t, lambda a, b: index[a, b]))
+    return tuple(operator.itemgetter(*basis) for basis in _headed_bases(points, lambda a, b: index[a, b]))
 
 
-def _heads(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
-    """The head arcs (p_i, p_j) of the bases of t + 1 >= 3 points, in basis order, each as
-    (leaf(p_i, p_j), the points outside the arc, the points inside it) (`_split`), leaving out
-    a side of one point: it has no roots (j = i + 1, or the arc (p_0, p_t)).
+def _heads(points: tuple[int, ...], leaf: Callable[[int, int], object]) -> Iterator[tuple]:
+    """The product blocks of the bases of t + 1 >= 3 points, in basis order: the one descent.
 
-    The one head loop: `_headed_bases` and `_point_lines` both read the product blocks from it.
+    A head arc (p_i, p_j) with roots on both sides of it (`_split`) is the block
+    (pre, leaf(p_i, p_j), outside, inside); a side of at most `_TABLED` + 1 points, read from
+    `_table` by `_point_bases`, is the block (pre, None, side, None).  `pre` holds the leaves of
+    the heads with a side of one point (no roots: j = i + 1, or the arc (p_0, p_t)) that lead to
+    the block.  Such a head joins `pre`, and its other side is walked on an explicit stack, so
+    the walk never recurses: a frame (pre, points, the pairs (i, j) left to walk) is popped to
+    be walked, and pushed back under the side's frame when one of its heads descends.
     """
-    for i in range(t):
-        for j in range(i + 1, t + 1):
-            yield (leaf(points[i], points[j]), *(side for side in _split(points, i, j) if len(side) > 1))
+    stack = [((), points, itertools.combinations(range(len(points)), 2))]
+    while stack:
+        pre, points, pairs = frame = stack.pop()
+        for i, j in pairs:
+            head, (outside, inside) = leaf(points[i], points[j]), _split(points, i, j)
+            if len(outside) > 1 < len(inside):
+                yield pre, head, outside, inside
+                continue
+            side = outside if len(outside) > 1 else inside
+            if len(side) <= _TABLED + 1:
+                yield pre + (head,), None, side, None
+                continue
+            stack += frame, (pre + (head,), side, itertools.combinations(range(len(side)), 2))
+            break
 
 
-def _headed_bases(points: tuple[int, ...], t: int, leaf: Callable[[int, int], object]) -> Iterator[tuple]:
-    """The bases of `_point_bases` for t >= 2.
+def _headed_bases(points: tuple[int, ...], leaf: Callable[[int, int], object]) -> Iterator[tuple]:
+    """The bases of `_point_bases` for t >= 2, one product block of `_heads` at a time.
 
-    Pick the head arc (p_i, p_j) (`_heads`), enumerate the points outside and inside it,
-    and interleave the two bases order-preservingly: each interleaving is one gather from
-    (head, *sub1, *sub2), read from `_gathers`, a pure table cached per (t, m).
-    With one side alone holding roots, the one interleaving is (head, *sub) itself.
+    A side alone gives pre + each of its bases.  Else enumerate the points outside and inside
+    the head and interleave the two bases order-preservingly: each interleaving is one gather
+    from (head, *sub1, *sub2), read from `_gathers`, a pure table cached per (t, m).
     """
-    for head, *sides in _heads(points, t, leaf):
-        if len(sides) == 1:
-            for sub in _point_bases(sides[0], leaf):
-                yield (head, *sub)
+    for pre, head, outside, inside in _heads(points, leaf):
+        if head is None:
+            yield from map(pre.__add__, _point_bases(outside, leaf))
             continue
-        outside, inside = sides
-        gathers = _gathers(t, len(outside) - 1)
+        gathers = _gathers(len(outside) + len(inside) - 1, len(outside) - 1)
         for sub1 in _point_bases(outside, leaf):
             for sub2 in _point_bases(inside, leaf):
                 roots = (head, *sub1, *sub2)
                 for gather in gathers:
-                    yield gather(roots)
+                    yield pre + gather(roots)
 
 
 @functools.cache
@@ -374,23 +393,21 @@ def _point_lines(points: tuple[int, ...], leaf: Callable[[int, int], str], pre: 
     """The bases of `_point_bases(points, leaf)`, with leaf giving texts, as the lines
     pre + ", ".join(basis) + post, in blocks of at most `size` lines.
 
-    One product block at a time (`_heads`): with one side alone holding roots, the lines of
-    (head, *sub) are that side's lines with pre + head + ", " for pre; else each (head, sub1,
-    sub2) is one join of each gather of `_text_gathers`, one gather per `size` lines.
+    One product block of `_heads` at a time (at most `_TABLED` + 1 points are one side block
+    themselves), with its heads joined into the line start once: a side block is that side's
+    lines; else each (head, sub1, sub2) is one join of each gather of `_text_gathers`, one
+    gather per `size` lines.
     """
-    t = len(points) - 1
-    if t <= _TABLED:
-        yield from _line_blocks(_point_bases(points, leaf), pre, post, size)
-        return
-    for head, *sides in _heads(points, t, leaf):
-        if len(sides) == 1:
-            yield from _point_lines(sides[0], leaf, f"{pre}{head}, ", post, size)
+    blocks = _heads(points, leaf) if len(points) > _TABLED + 1 else [((), None, points, None)]
+    for heads, head, outside, inside in blocks:
+        start = pre + "".join(f"{text}, " for text in heads)
+        if head is None:
+            yield from _line_blocks(_point_bases(outside, leaf), start, post, size)
             continue
-        outside, inside = sides
-        gathers = _text_gathers(t, len(outside) - 1, size)
+        gathers = _text_gathers(len(outside) + len(inside) - 1, len(outside) - 1, size)
         for sub1 in _point_bases(outside, leaf):
             for sub2 in _point_bases(inside, leaf):
-                texts = (pre, ", ", post, head, *sub1, *sub2)
+                texts = (start, ", ", post, head, *sub1, *sub2)
                 for gather in gathers:
                     yield "".join(gather(texts))
 

@@ -154,14 +154,15 @@ def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     if n == 1:  # no two-entry tail
         yield (1,)
         return
-    for head, b, a in _head_walk(n, (), [(v,) for v in range(n + 1)]):
+    for head, b, a in _head_walk(n, (), ((v,) for v in range(n + 1))):
         yield from map(head.__add__, _tails(b, a))
 
 
 def _head_walk(n: int, start, pieces):
     """Each head f[:n-2] of a parking function on n >= 2 cars, lexicographically, as (text, b, a).
 
-    The text is `start` + pieces[f[0]] + ... + pieces[f[n-3]] (tuples or strings), and b < a
+    The text is `start` + pieces[f[0]] + ... + pieces[f[n-3]] (tuples or strings, from an
+    iterable of n + 1 read only after `f` is allocated), and b < a
     are the two spots the head's cars leave empty, the rule of `_tails`.  The walk is an
     odometer: each step raises the rightmost entry that can still grow and resets the ones
     after it to 1.  An entry can grow while it is below the highest spot left empty by the
@@ -174,7 +175,7 @@ def _head_walk(n: int, start, pieces):
     [('1', 2, 3), ('2', 1, 3), ('3', 1, 2)]
     """
     m = n - 2
-    f = [1] * m
+    f, pieces = [1] * m, tuple(pieces)  # an n past any index raises OverflowError before the pieces are read
     # free[j] has bit k set when the cars of f[:j] leave spot k (1 <= k <= n) empty.
     free = [(1 << (n + 1)) - 2] * (m + 1)
     for j in range(m):

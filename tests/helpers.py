@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import sys
 
 from parkbases.dbasis import _split, distinguished_bases
 from parkbases.parking import is_parking, parking_functions
@@ -30,21 +32,34 @@ def pattern_point_bases(points: tuple[int, ...], n: int):
     if t == 0:
         yield ()
         return
-    for i in range(t):
-        for j in range(i + 1, t + 1):
-            head = Root(points[i] + 1, points[j], n)
-            outside, inside = _split(points, i, j)
-            patterns = []  # which of the t - 1 later roots come from outside
-            for taken in itertools.combinations(range(t - 1), len(outside) - 1):
-                pattern = [False] * (t - 1)
-                for pos in taken:
-                    pattern[pos] = True
-                patterns.append(pattern)
-            for sub1 in pattern_point_bases(outside, n):
-                for sub2 in pattern_point_bases(inside, n):
-                    for pattern in patterns:
-                        it1, it2 = iter(sub1), iter(sub2)
-                        yield (head, *[next(it1) if take else next(it2) for take in pattern])
+    for i, j in itertools.combinations(range(t + 1), 2):
+        head = Root(points[i] + 1, points[j], n)
+        outside, inside = _split(points, i, j)
+        patterns = [  # which of the t - 1 later roots come from outside
+            [pos in taken for pos in range(t - 1)] for taken in itertools.combinations(range(t - 1), len(outside) - 1)
+        ]
+        for sub1 in pattern_point_bases(outside, n):
+            for sub2 in pattern_point_bases(inside, n):
+                for pattern in patterns:
+                    it1, it2 = iter(sub1), iter(sub2)
+                    yield (head, *[next(it1) if take else next(it2) for take in pattern])
+
+
+def shallow(fn, *args, room: int = 50):
+    """fn(*args) under a recursion limit of the caller's depth + `room` frames."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + room)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def refusing(what: str):
+    """A stand-in for a function that must not be called: it raises AssertionError(what)."""
+    def refuse(*args):
+        raise AssertionError(what)
+    return refuse
 
 
 def long_families(n: int) -> tuple[tuple[int, ...], ...]:

@@ -32,7 +32,7 @@ from parkbases.parking import (
 )
 from parkbases.roots import Root, positive_roots, seifert, simple_roots
 
-from helpers import all_bases, all_pfs, basis_of_pairs, long_families, random_parking
+from helpers import all_bases, all_pfs, basis_of_pairs, long_families, random_parking, refusing
 
 from helpers import ALPHA1_RANK3, ALPHA2_RANK3
 
@@ -98,9 +98,7 @@ def test_mutate_parking_builds_two_roots_not_a_basis(monkeypatch, n):
     # Against the whole mutated basis, and on (a, b) = (f_k, f_{k+1}), with stops t_k, t_{k+1}:
     # a swap, a copy, or a new value c = t_{k+1} + 1 beside a exactly when a == b (the rule
     # in `mutate_parking`'s docstring).
-    def refuse(f):
-        raise AssertionError("mutate_parking reconstructs the whole basis")
-
+    refuse = refusing("mutate_parking reconstructs the whole basis")
     monkeypatch.setattr(bijection, "reconstruct", refuse)
     monkeypatch.setattr(braid, "reconstruct", refuse)
     # This module's own `reconstruct` binding stays the reference.
@@ -340,11 +338,8 @@ def test_mutate_diagram_output_is_a_valid_diagram(monkeypatch, n):
     # mutate_diagram lays out its rows without re-checking them; the full validator does it here.
     inputs = [(to_diagram(f), k) for f, k in _mutation_inputs(n)]
 
-    def refuse(values):
-        raise AssertionError("mutate_diagram re-checks the parking condition")
-
     with monkeypatch.context() as patched:
-        patched.setattr(parking, "is_parking", refuse)
+        patched.setattr(parking, "is_parking", refusing("mutate_diagram re-checks the parking condition"))
         outputs = [mutate_diagram(diagram, k, direction) for diagram, k in inputs for direction in ("left", "right")]
     moves = [(f, k, direction) for f, k in _mutation_inputs(n) for direction in ("left", "right")]
     for out, (f, k, direction) in zip(outputs, moves, strict=True):
@@ -409,10 +404,7 @@ def test_orbit_graph_runs_one_word_per_arc_pair(monkeypatch):
 
 
 def test_orbit_graph_reads_bases_off_the_enumeration(monkeypatch):
-    def refuse(f):
-        raise AssertionError("orbit_graph rebuilds a basis from its parking function")
-
-    monkeypatch.setattr(braid, "reconstruct", refuse)
+    monkeypatch.setattr(braid, "reconstruct", refusing("orbit_graph rebuilds a basis from its parking function"))
     for n in range(2, 7):
         assert orbit_graph(n).nodes == tuple(parking_functions(n))
 

@@ -24,6 +24,8 @@ from parkbases.dbasis import distinguished_bases
 from parkbases.noncrossing import maximal_chains, partition_chain
 from parkbases.parking import nondecreasing_parking_functions, parking_functions
 
+from helpers import refusing, shallow
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -110,9 +112,7 @@ def test_enumerate_counts(args, expected, monkeypatch, capsys):
 
 @pytest.mark.parametrize("kind", ["bases", "chains"])
 def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
-    def enumerate_(*args):
-        raise AssertionError("--count enumerated")
-
+    enumerate_ = refusing("--count enumerated")
     monkeypatch.setattr("parkbases.cli.distinguished_bases", enumerate_)
     monkeypatch.setattr("parkbases.cli._point_lines", enumerate_)  # what listing `bases` calls
     monkeypatch.setattr("parkbases.noncrossing.maximal_chains", enumerate_)
@@ -120,23 +120,22 @@ def test_enumerate_count_reads_the_closed_form(kind, monkeypatch, capsys):
     assert code == 0 and json.loads(out) == {"count": 9 ** 7, "kind": kind, "n": 8}
 
 
+class _FirstText(Exception):
+    @classmethod
+    def write(cls, text):  # as sys.stdout: raise at the first write
+        raise cls(text)
+
+
 @pytest.mark.parametrize("kind", ["bases", "chains"])
-def test_enumerate_past_the_recursion_depth_is_one_error_line(kind, tmp_path, monkeypatch, capsys):
-    # Both build their first item at full depth, so nothing is written before the error, and an
-    # existing --out file is not even opened.
-    outfile = tmp_path / "kept.json"
-    outfile.write_text("kept\n")
-    depth = sys.getrecursionlimit()
-    sys.setrecursionlimit(400)  # reaches the depth at n = 600 instead of n ~ 1000, and cheaply
-    try:
-        argv = ["enumerate", "600", kind, "--limit", "600"]
-        code, out, err = run_cli(argv, "", monkeypatch, capsys)
-        assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
-        code, out, err = run_cli([*argv, "--out", str(outfile)], "", monkeypatch, capsys)
-        assert (code, out, err) == (1, "", f"E_LIMIT: n=600 is too deep for the {kind} enumeration\n")
-    finally:
-        sys.setrecursionlimit(depth)
-    assert outfile.read_bytes() == b"kept\n"
+def test_enumerate_starts_at_any_depth(kind, monkeypatch):
+    # Only the first text is made, one line long: the whole listing would never end.
+    monkeypatch.setattr("parkbases.cli._CHUNK", 1)
+    monkeypatch.setattr("sys.stdout", _FirstText)
+    with pytest.raises(_FirstText) as first:
+        shallow(main, ["enumerate", "1100", kind, "--limit", "1100"])
+    item = {"basis": [[k, k] for k in range(1, 1101)]} if kind == "bases" else {  # partition j joins 0..j
+        "chain": [[list(range(j + 1)), *([k] for k in range(j + 1, 1101))] for j in range(1101)]}
+    assert first.value.args == (json.dumps({**item, "n": 1100}) + "\n",)
 
 
 _HUGE = str(10**30)  # past what an index holds: refused before anything is allocated
@@ -144,13 +143,18 @@ _HUGE = str(10**30)  # past what an index holds: refused before anything is allo
 
 @pytest.mark.parametrize(
     "argv, what",
-    [(["enumerate", _HUGE, kind], f"{kind} enumeration") for kind in ("bases", "chains", "nondecreasing")]
+    [(["enumerate", _HUGE, kind], f"{kind} enumeration") for kind in ("pf", "bases", "chains", "nondecreasing")]
     + [(["orbit", _HUGE], "orbit graph")],
-    ids=["bases", "chains", "nondecreasing", "orbit"],
+    ids=["pf", "bases", "chains", "nondecreasing", "orbit"],
 )
-def test_a_listing_too_large_to_start_is_one_error_line(argv, what, monkeypatch, capsys):
-    code, out, err = run_cli([*argv, "--limit", _HUGE], "", monkeypatch, capsys)
-    assert (code, out, err) == (1, "", f"E_LIMIT: n={_HUGE} is too large for the {what}\n")
+def test_a_listing_too_large_to_start_is_one_error_line(argv, what, tmp_path, monkeypatch, capsys):
+    # Refused before the first item exists, so an existing --out file is not even opened.
+    outfile = tmp_path / "kept.json"
+    outfile.write_text("kept\n")
+    for out_args in ([], ["--out", str(outfile)]):
+        code, out, err = run_cli([*argv, "--limit", _HUGE, *out_args], "", monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"E_LIMIT: n={_HUGE} is too large for the {what}\n")
+    assert outfile.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(
@@ -735,9 +739,7 @@ def test_a_count_past_the_int_text_limit_is_one_error_line(kind, n, tmp_path, mo
 @pytest.mark.parametrize("kind", ["pf", "nondecreasing"])
 def test_a_count_far_past_the_int_text_limit_is_refused_uncounted(kind, monkeypatch, capsys):
     # A lower bound on the count's digits settles it: the count itself is never computed.
-    def refuse(n):
-        raise AssertionError("the count is computed")
-
+    refuse = refusing("the count is computed")
     monkeypatch.setattr("parkbases.cli.basis_count", refuse)
     monkeypatch.setattr("parkbases.cli.catalan", refuse)
     start = time.perf_counter()

@@ -23,7 +23,7 @@ from parkbases.noncrossing import (
 )
 from parkbases.roots import Root, positive_roots
 
-from helpers import all_bases, basis_of_pairs, random_parking
+from helpers import all_bases, basis_of_pairs, random_parking, refusing
 
 
 def test_partition_canonicalisation_and_validation():
@@ -102,9 +102,7 @@ def test_roots_of_mixed_ranks_are_rejected(read, message):
 
 
 def test_chains_and_bases_need_no_trial_partition(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("no partition is built on this path")
-
+    refuse = refusing("no partition is built on this path")
     monkeypatch.setattr(noncrossing, "partition", refuse)
     monkeypatch.setattr(noncrossing, "merge_of", refuse)
     assert sum(1 for _ in maximal_chains(4)) == 125
@@ -115,10 +113,7 @@ def test_chains_and_bases_need_no_trial_partition(monkeypatch):
 
 
 def test_partition_chain_builds_no_arc_diagram(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("partition_chain builds an ArcDiagram")
-
-    monkeypatch.setattr(dbasis, "ArcDiagram", refuse)
+    monkeypatch.setattr(dbasis, "ArcDiagram", refusing("partition_chain builds an ArcDiagram"))
     for n in range(1, 5):
         for basis in all_bases(n):
             assert chain_to_basis(partition_chain(basis)) == basis
@@ -156,9 +151,7 @@ def _long_bases():
 
 
 def test_a_basis_is_its_own_chain(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("partition_chain calls validate_basis or partitions a basis")
-
+    refuse = refusing("partition_chain calls validate_basis or partitions a basis")
     monkeypatch.setattr(dbasis, "validate_basis", refuse)
     monkeypatch.setattr(noncrossing, "NCPartition", refuse)
     for basis in itertools.chain(*map(all_bases, range(1, 6)), _long_bases()):
@@ -166,10 +159,7 @@ def test_a_basis_is_its_own_chain(monkeypatch):
 
 
 def test_accepted_chains_replay_without_the_crossing_scan(monkeypatch):
-    def refuse(self):
-        raise AssertionError("an accepted chain's partition is checked again")
-
-    monkeypatch.setattr(NCPartition, "__post_init__", refuse)
+    monkeypatch.setattr(NCPartition, "__post_init__", refusing("an accepted chain's partition is checked again"))
     for chain in itertools.chain(*map(maximal_chains, range(1, 6))):
         assert chain_of_partitions(chain.partitions) == chain  # the partitions' own merges
     for basis in _long_bases():

@@ -23,7 +23,7 @@ from parkbases.quiver import (
 )
 from parkbases.roots import Root, positive_roots
 
-from helpers import all_bases, basis_of_pairs, random_parking
+from helpers import all_bases, basis_of_pairs, random_parking, refusing
 
 
 def mod(lo, hi, n):
@@ -198,11 +198,8 @@ def test_ext_dim_reads_the_seifert_form(monkeypatch):
 
 
 def test_hom_ext_table_needs_no_per_cell_helpers(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("called on the table's path")
-
     for name in ("hom_dim", "ext_dim", "euler", "seifert", "ray_stops"):
-        monkeypatch.setattr(quiver, name, refuse)
+        monkeypatch.setattr(quiver, name, refusing("called on the table's path"))
     hom, ext = hom_ext_table(modules_of(reconstruct((2, 1, 3))))
     assert hom == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     assert ext == ((0, 0, 1), (0, 0, 1), (0, 0, 0))
